@@ -9,9 +9,10 @@ the linker recorded in ``e_flags``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 from ..adl.model import Architecture
+from ..libc import LIBC_BY_NAME
 from ..sim.debuginfo import DebugInfo, LineMap
 from ..sim.errors import SimulationError
 from ..sim.state import ProcessorState
@@ -52,6 +53,44 @@ def debug_info_from_elf(elf: ElfFile) -> DebugInfo:
         if sym.sym_type == STT_FUNC and sym.size:
             debug.add_function(sym.name, sym.value, sym.size)
     return debug
+
+
+def mangled_functions(
+    elf: ElfFile, arch: Architecture
+) -> Iterator[Tuple[int, str, int]]:
+    """``(isa_id, name, address)`` of every ISA-mangled function symbol.
+
+    The compiler mangles each function with its ISA (``$vliw4$dct4x4``),
+    so the symbol table tells which ISAs a program's code is in.
+    """
+    isa_ids = {isa.name: isa.ident for isa in arch.isas}
+    for sym in elf.symbols:
+        name = sym.name
+        if sym.size and name.startswith("$"):
+            isa_name, _, rest = name[1:].partition("$")
+            if rest and isa_name in isa_ids:
+                yield isa_ids[isa_name], rest, sym.value
+
+
+def program_issue_width(
+    elf: ElfFile, arch: Architecture, entry_isa: Optional[int] = None
+) -> int:
+    """Widest issue width among the ISAs the program contains.
+
+    Covers the entry ISA (``entry_isa``, by default the one the linker
+    recorded) and the ISA of every compiled function.  The linker adds
+    libc stubs for every ISA, but a stub only runs when code of its own
+    ISA calls it, so stubs do not count.  Cycle models with per-slot
+    state are sized with it, so a mixed-ISA program's VLIW functions
+    fit a model built at a RISC entry point, while a single-ISA program
+    keeps its own width.
+    """
+    isas = {elf.flags if entry_isa is None else entry_isa}
+    isas.update(
+        isa_id for isa_id, name, _addr in mangled_functions(elf, arch)
+        if name not in LIBC_BY_NAME
+    )
+    return max(arch.isa(isa_id).issue_width for isa_id in isas)
 
 
 def load_executable(

@@ -32,7 +32,7 @@ from .adl.kahrisma import KAHRISMA
 from .binutils.assembler import Assembler
 from .binutils.elf import ElfFile
 from .binutils.linker import link
-from .binutils.loader import load_executable
+from .binutils.loader import load_executable, program_issue_width
 from .cycles.aie import AieModel
 from .cycles.branch import (
     BimodalPredictor,
@@ -120,7 +120,7 @@ def cmd_compile_elf(args: argparse.Namespace) -> int:
 
     with open(args.input, "rb") as f:
         elf = ElfFile.read(f.read())
-    width = KAHRISMA.isa(elf.flags).issue_width
+    width = program_issue_width(elf, KAHRISMA)
     cache = _open_plan_cache(
         elf, args.plan_cache_dir,
         limit=args.plan_cache_limit, block_len=args.max_block_len,
@@ -424,9 +424,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             resume_payload = read_checkpoint(args.resume)
         except CheckpointError as exc:
             raise SystemExit(f"--resume: {exc}")
-        width = KAHRISMA.isa(
-            int(resume_payload["state"]["isa_id"])
-        ).issue_width
+        width = program_issue_width(
+            elf, KAHRISMA, int(resume_payload["state"]["isa_id"])
+        )
     branch_model = _make_branch_model(args.branch_predictor,
                                       args.branch_penalty)
     base_stats = None
@@ -445,7 +445,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         resume_meta = resumed.meta
     else:
         program = load_executable(elf, KAHRISMA, isa_id=args.isa)
-        width = KAHRISMA.isa(program.state.isa_id).issue_width
+        width = program_issue_width(elf, KAHRISMA, program.state.isa_id)
         model = _make_model(args.model, width, branch_model)
         resume_meta = None
     profiler = None

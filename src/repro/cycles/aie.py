@@ -145,18 +145,21 @@ class _AieBlockCompiler(BlockCompiler):
     """Emit AIE accounting as flat statements for superblock bodies.
 
     Superblock bodies contain no control operations (a control op
-    terminates the block) and are single-issue (only direct-eligible
-    plans fuse), so per instruction the observe loop above reduces to:
+    terminates the block), so per instruction — single op or VLIW
+    bundle — the observe loop above reduces to:
 
-    * non-memory: ``current_cycle += max(1, delay)`` — a translate-time
-      constant, merged across runs of consecutive instructions;
-    * memory: one hierarchy query at the issue cycle, then
-      ``current_cycle = max(issue + 1, completion)``.
+    * no memory op: ``current_cycle += max(1, delays...)`` — a
+      translate-time constant, merged across runs of consecutive
+      instructions;
+    * memory ops: one hierarchy query per op in ``dec.ops`` order, all
+      at the issue cycle, then ``current_cycle`` becomes the largest
+      of the completions and the constant advance.
 
     The generated function receives the model as argument ``m`` and
     re-derives all state from it each call, so plans survive
     ``reset``/``load_state`` and persistent-cache reuse.  Timing
-    locals use a ``_y`` prefix (functional locals use ``_t_``).
+    locals use a ``_y`` prefix (functional locals use ``_t_``,
+    bundle temporaries ``_b``).
     """
 
     def begin(self) -> None:
@@ -174,42 +177,59 @@ class _AieBlockCompiler(BlockCompiler):
             self._pending = 0
 
     def instr(self, dec: DecodedInstruction) -> Optional[List[str]]:
-        op = dec.single
-        if op is None:
-            return None
-        kind = op.kind_code
+        if dec.is_control:
+            return None  # control ops never appear in bodies; be safe
         self._n_instr += 1
-        if kind == KIND_NOP:
-            self._pending += 1
-            return []
-        if kind == KIND_LOAD or kind == KIND_STORE:
+        advance = 1  # an empty/NOP-only instruction still issues
+        mem_ops = []
+        for op in dec.ops:
+            kind = op.kind_code
+            if kind == KIND_NOP:
+                continue
             self._n_ops += 1
-            self._mem = True
-            self.uses_regs = True
-            out: List[str] = []
-            self._flush_pending(out)
+            if kind == KIND_LOAD or kind == KIND_STORE:
+                mem_ops.append(op)
+            elif op.delay > advance:
+                advance = op.delay
+        if not mem_ops:
+            self._pending += advance
+            return []
+        self._mem = True
+        self.uses_regs = True
+        out: List[str] = []
+        self._flush_pending(out)
+        # The issue cycle stays in ``_ycc`` until the last query.
+        done = "_ycc" if len(mem_ops) == 1 else "_ym"
+        for index, op in enumerate(mem_ops):
             out.append(
                 f"_yx = _yacc((regs[{op.mem_base}] + {op.mem_imm})"
-                f" & 4294967295, {kind == KIND_STORE}, {op.slot}, _ycc)"
+                f" & 4294967295, {op.kind_code == KIND_STORE}, "
+                f"{op.slot}, _ycc)"
             )
-            out.append("_ycc = _yx if _yx > _ycc + 1 else _ycc + 1")
-            return out
-        if kind == KIND_CTRL:
-            return None  # control ops never appear in bodies; be safe
-        self._n_ops += 1
-        self._pending += max(1, op.delay)
-        return []
+            if index == 0:
+                out.append(
+                    f"{done} = _yx if _yx > _ycc + {advance} "
+                    f"else _ycc + {advance}"
+                )
+            else:
+                out.append(f"if _yx > {done}: {done} = _yx")
+        if done != "_ycc":
+            out.append(f"_ycc = {done}")
+        return out
 
     def term(self, dec: DecodedInstruction) -> Optional[List[str]]:
         if self.model.branch_model is not None:
             # Mispredictions need the per-instruction observe hook.
             return None
-        op = dec.single
-        if op is None or op.kind_code in (KIND_LOAD, KIND_STORE):
+        if dec.has_mem:
             return None
         self._n_instr += 1
-        self._n_ops += 1
-        self._pending += max(1, op.delay)
+        advance = 1
+        for op in dec.ops:
+            if op.kind_code != KIND_NOP:
+                self._n_ops += 1
+                advance = max(advance, op.delay)
+        self._pending += advance
         return []
 
     def flush(self) -> List[str]:

@@ -16,7 +16,11 @@ from ..adl.model import Architecture
 from ..binutils.assembler import Assembler
 from ..binutils.elf import ElfFile
 from ..binutils.linker import LinkInfo, link
-from ..binutils.loader import LoadedProgram, load_executable
+from ..binutils.loader import (
+    LoadedProgram,
+    load_executable,
+    program_issue_width,
+)
 from ..lang.driver import CompileResult, compile_mixed, compile_source
 from ..programs import load_program
 from ..sim.interpreter import Interpreter
@@ -45,7 +49,9 @@ class BuildResult:
 
     @property
     def issue_width(self) -> int:
-        return self.arch.isa(self.entry_isa).issue_width
+        """Width to size per-slot cycle models with: the widest ISA in
+        the program, so a mixed build's VLIW functions fit."""
+        return program_issue_width(self.elf, self.arch)
 
 
 @dataclass

@@ -43,8 +43,8 @@ Correctness contract (the differential suite pins it bitwise):
 
 * **Coverage is partial by design.**  Only plans ending in an inlined
   branch terminator enter the dense table; everything else — ISA
-  switches, halts, simops, ``jalr rd, rd`` hazards, VLIW general
-  bodies — is *uncovered*, and the interpreter falls back to the
+  switches, halts, simops, ``jalr rd, rd`` hazards, any plan holding
+  a VLIW bundle — is *uncovered*, and the interpreter falls back to the
   interactive superblock engine for exactly one block before
   re-entering the table.  Inside the table the ISA can never change
   and the machine can never halt, so the generated loop checks
@@ -87,7 +87,7 @@ import time
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from ..binutils.loader import load_executable
+from ..binutils.loader import load_executable, mangled_functions
 from ..targetgen.behavior_compiler import SIM_GLOBALS, inline_control_stmts
 from ..targetgen.optable import build_target
 from .decode_cache import DecodeCache
@@ -1325,13 +1325,9 @@ def compile_module(
         (text.addr, text.addr + len(text.data)) if text is not None else None
     )
     seeds = [(elf.flags, elf.entry)]
-    isa_ids = {isa.name: isa.ident for isa in arch.isas}
-    for sym in elf.symbols:
-        name = sym.name
-        if sym.size and name.startswith("$"):
-            isa_name, _, rest = name[1:].partition("$")
-            if rest and isa_name in isa_ids:
-                seeds.append((isa_ids[isa_name], sym.value))
+    seeds.extend(
+        (isa_id, addr) for isa_id, _name, addr in mangled_functions(elf, arch)
+    )
 
     profile_instructions = 0
     if profile_budget:
@@ -1357,7 +1353,13 @@ def compile_module(
     for key in sorted(plans):
         plan = plans[key]
         total_instr += plan.n_instr
-        if plan.kind == PLAN_GENERAL:
+        # The interactive engine translates plans holding a multi-op
+        # (VLIW) instruction with deferred bundle writes; the AST passes
+        # below only know the single-issue form, so the AOT tier leaves
+        # them to the interactive fallback.
+        if plan.kind == PLAN_GENERAL or any(
+            dec.single is None for dec in plan.decs
+        ):
             continue
         plan.code_digest = plan_digest(mem, plan.span)
         if fuser is not None:

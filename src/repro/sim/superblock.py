@@ -21,28 +21,34 @@ run into a :class:`SuperblockPlan`:
 * precomputed block-total statistics deltas, accumulated once per block
   instead of once per instruction.
 
-Plans come in three kinds.  When every body instruction is single-issue
-and has a *direct* simulation variant (see
+Cold plans (fewer than :data:`HOT_THRESHOLD` executions) run a loop of
+per-row calls, in one of three kinds.  When every body instruction is
+single-issue and has a *direct* simulation variant (see
 :mod:`repro.targetgen.behavior_compiler`), the body runs commit-free:
 each row is one Python call that writes architectural state in place.
-Otherwise the body runs buffered rows (VLIW bundles keep their
-read-before-write semantics).  Blocks are *chained* through their
-observed successor — the block-level analogue of the paper's 1-bit
-instruction prediction — so the steady state executes without even a
-per-block hash lookup.
+Otherwise (VLIW bundles) the body runs buffered rows.  Hot plans of
+every kind are translated into flat Python functions: a single-issue
+instruction, or a bundle with one executing op, inlines its direct
+statements; a bundle with several executing ops inlines them with
+deferred writes — every slot reads pre-bundle state, the writes
+commit in slot order after the whole bundle — so VLIW code keeps its
+read-before-write semantics without buffers.  Blocks are *chained*
+through their observed successor — the block-level analogue of the
+paper's 1-bit instruction prediction — so the steady state executes
+without even a per-block hash lookup.
 
 Cycle models still observe every instruction, three ways.  Models
 exposing the batched :meth:`~repro.cycles.base.CycleModel.observe_block`
 hook get one call per block (ILP opts in).  Models exposing a
 :meth:`~repro.cycles.base.CycleModel.block_compiler` (AIE/DOE) get
 their accounting *fused* into the translated plan: the compiler emits
-flat timing statements that the translator interleaves before each
-instruction's functional statements — reproducing the pre-commit
-register view of buffered per-instruction observation, with latencies
-constant-folded at translate time — so fused counts are
-bitwise-identical to the per-instruction path.  Everything else (and
-any configuration the fused path cannot prove safe: per-op timelines,
-profiler-wrapped models, VLIW bodies, branch-model terminators) falls
+flat timing statements that the translator places before each
+instruction's (or bundle's) functional statements — reproducing the
+pre-commit register view of buffered per-instruction observation,
+with latencies constant-folded at translate time — so fused counts
+are bitwise-identical to the per-instruction path.  Everything else
+(and any configuration the fused path cannot prove safe: per-op
+timelines, profiler-wrapped models, branch-model terminators) falls
 back to per-instruction ``observe`` on buffered rows.
 
 Hot plans can also be *persisted*: when a :class:`~repro.sim.plancache.
@@ -66,11 +72,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..targetgen.behavior_compiler import (
     SIM_GLOBALS,
+    InlinedStmts,
+    inline_bundle_stmts,
     inline_control_stmts,
     inline_direct_stmts,
 )
 from .decode_cache import DecodeCache
-from .decoder import DecodedInstruction, KIND_NOP, KIND_STORE
+from .decoder import DecodedInstruction, DecodedOp, KIND_NOP, KIND_STORE
 from .errors import DecodeError
 from .memory import PAGE_SHIFT, Memory
 from .state import ProcessorState
@@ -79,14 +87,14 @@ from .state import ProcessorState
 #: plans (bounds build latency and invalidation granularity).
 MAX_BLOCK_LEN = 64
 
-#: A direct-eligible plan is translated into one flat Python function
-#: on its Nth execution.  Translating costs an emission + ``compile``
+#: A plan is translated into one flat Python function on its Nth
+#: execution.  Translating costs an emission + ``compile``
 #: pass (~0.3 ms), so cold blocks — init code, error paths — stay on
 #: the cheap per-row call loop and never pay it.
 HOT_THRESHOLD = 4
 
-#: Plan kinds: commit-free body without stores, commit-free body with
-#: stores (needs the invalidation check), buffered body.
+#: Cold-path plan kinds: commit-free body without stores, commit-free
+#: body with stores (needs the invalidation check), buffered body.
 PLAN_DIRECT = 0
 PLAN_DIRECT_MEM = 1
 PLAN_GENERAL = 2
@@ -201,8 +209,9 @@ class SuperblockPlan:
             (d.exec_ops, d.addr, d.addr + d.size, d) for d in body_decs
         )
 
-        # Functional body rows with static IPs.  Commit-free when every
-        # instruction is single-issue with a direct variant.
+        # Functional body rows with static IPs (the cold path).
+        # Commit-free when every instruction is single-issue with a
+        # direct variant.
         direct_ok = all(
             d.single is not None
             and (d.single.kind_code == KIND_NOP
@@ -284,9 +293,10 @@ class SuperblockPlan:
         Called by the engine once the plan crosses
         :data:`HOT_THRESHOLD`.  Without ``timing`` the preferred
         outcome is ``full_fn`` (body plus an inlined branch terminator
-        — one call per block); otherwise ``body_fn`` (buffered
-        terminator stays); otherwise nothing, leaving the per-row call
-        loop in charge.  With ``timing`` (a
+        — one call per block; a terminator bundle qualifies when the
+        branch is its only executing op); otherwise ``body_fn``
+        (buffered terminator stays); otherwise nothing, leaving the
+        per-row call loop in charge.  With ``timing`` (a
         :class:`~repro.cycles.base.BlockCompiler`) the fused variants
         are compiled instead, interleaving the cycle model's
         accounting; a refusal by the compiler leaves the plan on the
@@ -296,8 +306,6 @@ class SuperblockPlan:
         for the engine's persistent plan cache.
         """
         variants: Dict[str, Tuple[str, object]] = {}
-        if self.kind == PLAN_GENERAL:
-            return variants
         body_decs = (
             self.decs[:-1] if self.term_dec is not None else self.decs
         )
@@ -305,10 +313,11 @@ class SuperblockPlan:
             op.kind_code == KIND_STORE for d in body_decs for op in d.ops
         )
         term = self.term_dec
+        branch = _inline_terminator(term)
         if timing is not None:
-            if term is not None and term.single is not None:
+            if branch is not None:
                 fused = _translate_fused_plan(
-                    body_decs, body_has_store, term,
+                    body_decs, body_has_store, term, branch,
                     self.isa_id, self.entry_ip, timing,
                 )
                 if fused is not None:
@@ -323,9 +332,9 @@ class SuperblockPlan:
                 self.fused_body_fn, source, code = fused
                 variants["fused_body"] = (source, code)
             return variants
-        if term is not None and term.single is not None:
+        if branch is not None:
             full = _translate_plan(
-                body_decs, body_has_store, term,
+                body_decs, body_has_store, branch,
                 self.isa_id, self.entry_ip,
             )
             if full is not None:
@@ -362,6 +371,54 @@ class SuperblockPlan:
         )
 
 
+def _sole_op(dec: DecodedInstruction) -> DecodedOp:
+    """The only executing op of an instruction with ``n_exec == 1``."""
+    if dec.single is not None:
+        return dec.single
+    return next(op for op in dec.ops if op.kind_code != KIND_NOP)
+
+
+def _inline_instr(dec: DecodedInstruction) -> InlinedStmts:
+    """Functional statements of one body instruction.
+
+    One executing op with a direct variant keeps the direct form;
+    any other instruction (a bundle with several executing ops, or an
+    op whose own statements read after writing) is inlined with
+    deferred writes.  Raises when the instruction cannot be inlined.
+    """
+    next_ip = dec.addr + dec.size
+    if dec.n_exec == 1:
+        op = _sole_op(dec)
+        if op.direct_fn is not None:
+            return inline_direct_stmts(
+                op.entry.op, op.vals, dec.addr, next_ip
+            )
+    return inline_bundle_stmts(
+        tuple(
+            (op.entry.op, op.vals)
+            for op in dec.ops if op.kind_code != KIND_NOP
+        ),
+        dec.addr, next_ip,
+    )
+
+
+def _inline_terminator(
+    term: Optional[DecodedInstruction],
+) -> Optional[InlinedStmts]:
+    """Inlined branch terminator, or None when it stays buffered.
+
+    A terminator inlines when its only executing op is a plain control
+    transfer that :func:`inline_control_stmts` accepts — for a VLIW
+    bundle, a branch beside NOP slots.
+    """
+    if term is None or term.n_exec != 1:
+        return None
+    op = _sole_op(term)
+    return inline_control_stmts(
+        op.entry.op, op.vals, term.addr, term.addr + term.size
+    )
+
+
 def _emit_body_lines(
     body_decs: Tuple[DecodedInstruction, ...],
     has_store: bool,
@@ -370,27 +427,25 @@ def _emit_body_lines(
 ) -> Optional[Tuple[List[str], bool, set, set]]:
     """Inline every body instruction; None when not flatly translatable.
 
-    After each store instruction of a store-carrying block an
-    invalidation check is emitted, returning the committed
-    instruction's successor IP on a self-modifying-code hit —
-    bit-inverted (negative) when the function's normal return values
-    are IPs themselves (``invert_abort``).
+    After each store-carrying instruction of a store-carrying block
+    an invalidation check is emitted (after the bundle's commit),
+    returning the committed instruction's successor IP on a
+    self-modifying-code hit — bit-inverted (negative) when the
+    function's normal return values are IPs themselves
+    (``invert_abort``).
 
     With ``timing`` (a :class:`~repro.cycles.base.BlockCompiler` whose
     ``begin()`` the caller already invoked) each instruction's timing
-    statements are interleaved *before* its functional statements —
-    the compiled analogue of observing pre-commit — and every abort
-    site flushes the model's prefix totals before returning.  A None
-    from ``timing.instr`` rejects the whole body.
+    statements are placed *before* its functional statements — the
+    compiled analogue of observing pre-commit — and every abort site
+    flushes the model's prefix totals before returning.  A None from
+    ``timing.instr`` rejects the whole body.
     """
     lines: List[str] = []
     uses_regs = False
     loads: set = set()
     stores: set = set()
     for d in body_decs:
-        single = d.single
-        if single is None:
-            return None
         if timing is not None:
             t_stmts = timing.instr(d)
             if t_stmts is None:
@@ -400,16 +455,14 @@ def _emit_body_lines(
         if d.n_exec == 0:
             continue
         try:
-            stmts, i_regs, i_loads, i_stores = inline_direct_stmts(
-                single.entry.op, single.vals, d.addr, d.addr + d.size
-            )
+            stmts, i_regs, i_loads, i_stores = _inline_instr(d)
         except Exception:
             return None  # fall back to the per-row call loop
         lines.extend(stmts)
         uses_regs = uses_regs or i_regs
         loads |= i_loads
         stores |= i_stores
-        if has_store and single.kind_code == KIND_STORE:
+        if has_store and any(op.kind_code == KIND_STORE for op in d.ops):
             stop = d.addr + d.size
             lines.append("    if inv[0]:")
             if timing is not None:
@@ -460,7 +513,7 @@ def _translate_body(
     isa_id: int,
     entry_ip: int,
 ) -> Optional[Tuple[Callable, str, object]]:
-    """Compile a direct-eligible body into one flat Python function.
+    """Compile a plan body into one flat Python function.
 
     The generated function executes every body instruction as inlined
     straight-line statements (no per-instruction calls, dispatch or
@@ -479,7 +532,7 @@ def _translate_body(
 def _translate_plan(
     body_decs: Tuple[DecodedInstruction, ...],
     has_store: bool,
-    term: DecodedInstruction,
+    inlined: InlinedStmts,
     isa_id: int,
     entry_ip: int,
 ) -> Optional[Tuple[Callable, str, object]]:
@@ -488,16 +541,11 @@ def _translate_plan(
     Every path returns the next IP directly (branch targets and the
     fall-through are literals folded at translation time); an abort
     returns ``~stop_ip``.  Only plain control transfers whose
-    per-instance read-after-write check passes are inlined — ``jalr``
-    with ``rd == rs1``, switches, simops and halts keep the buffered
-    terminator path.
+    per-instance read-after-write check passes are inlined (see
+    :func:`_inline_terminator`) — ``jalr`` with ``rd == rs1``,
+    switches, simops, halts and bundles with further executing ops
+    keep the buffered terminator path.
     """
-    single = term.single
-    inlined = inline_control_stmts(
-        single.entry.op, single.vals, term.addr, term.addr + term.size
-    )
-    if inlined is None:
-        return None
     emitted = _emit_body_lines(body_decs, has_store, invert_abort=True)
     if emitted is None:
         return None
@@ -545,6 +593,7 @@ def _translate_fused_plan(
     body_decs: Tuple[DecodedInstruction, ...],
     has_store: bool,
     term: DecodedInstruction,
+    inlined: InlinedStmts,
     isa_id: int,
     entry_ip: int,
     timing,
@@ -558,12 +607,6 @@ def _translate_fused_plan(
     model needs the per-instruction misprediction hook — pushing the
     plan down to :func:`_translate_fused_body`.
     """
-    single = term.single
-    inlined = inline_control_stmts(
-        single.entry.op, single.vals, term.addr, term.addr + term.size
-    )
-    if inlined is None:
-        return None
     timing.begin()
     emitted = _emit_body_lines(
         body_decs, has_store, invert_abort=True, timing=timing
@@ -642,11 +685,7 @@ class SuperblockEngine:
         )
         plan = SuperblockPlan(isa_id, entry_ip, decs, terminated)
         pcache = self.plan_cache
-        if (
-            pcache is not None
-            and self.cache_namespace is not None
-            and plan.kind != PLAN_GENERAL
-        ):
+        if pcache is not None and self.cache_namespace is not None:
             plan.code_digest = plan_digest(mem, plan.span)
             hit = pcache.lookup(
                 isa_id, entry_ip, self.cache_namespace, plan.code_digest
@@ -799,7 +838,7 @@ class SuperblockEngine:
             blocks += 1
             aborted = False
             n = plan.exec_count
-            if n < HOT_THRESHOLD and plan.kind != PLAN_GENERAL:
+            if n < HOT_THRESHOLD:
                 plan.exec_count = n + 1
                 if n + 1 == HOT_THRESHOLD:
                     self._hot_translate(plan, model, observe_block)

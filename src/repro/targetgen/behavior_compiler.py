@@ -33,7 +33,10 @@ earlier statement.  :func:`direct_eligible` performs that (conservative,
 source-order) analysis; control-flow operations are never eligible.
 Inside a superblock's straight-line body, calling the direct variant is
 observably identical to buffer-then-commit, and roughly halves the
-per-operation Python work.
+per-operation Python work.  A VLIW bundle with several executing ops
+is inlined by :func:`inline_bundle_stmts` instead, which evaluates
+every write into a temporary and commits them after the whole bundle
+— the buffered semantics, without the buffers.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ class _Emitter:
     ``subst`` maps field names (and ``IP``/``NIP``) to literal source
     text, used when inlining an op instance into a superblock body;
     ``local_prefix`` keeps behaviour-local variables of different
-    inlined instructions from colliding.
+    inlined instructions from colliding.  ``defer`` (a
+    :class:`_DeferredWrites`) lowers W/S into bundle temporaries whose
+    commit statements the caller emits after the whole bundle.
     """
 
     def __init__(
@@ -112,11 +117,13 @@ class _Emitter:
         direct: bool = False,
         subst: Optional[Dict[str, str]] = None,
         local_prefix: str = "",
+        defer: Optional["_DeferredWrites"] = None,
     ) -> None:
         self.op = op
         self.direct = direct
         self.subst = subst
         self.local_prefix = local_prefix
+        self.defer = defer
         self.field_names = {f.name for f in op.value_fields}
         self.locals: set = set()
         self.uses_regs = False
@@ -213,7 +220,9 @@ class _Emitter:
     def _call_stmt(self, node: ast.Call, indent: str, out: List[str]) -> None:
         name = node.func.id
         args = [self.expr(a) for a in node.args]
-        if name == "W":
+        if self.defer is not None and (name == "W" or name in _STORE_SIZES):
+            self.defer.lower(self, name, args, indent, out)
+        elif name == "W":
             if self.direct:
                 # Immediate write; the guard keeps r0 hard-wired to 0
                 # (folded away when the target register is a literal).
@@ -269,6 +278,55 @@ _CMPOPS = {
     ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
     ast.Gt: ">", ast.GtE: ">=",
 }
+
+
+class _DeferredWrites:
+    """Bundle-level write deferral for :func:`inline_bundle_stmts`.
+
+    Each ``W``/``S*`` of a bundle's ops evaluates its operands into
+    ``_b<n>`` temporaries where it stands; the commit statements —
+    register writes in slot order (last writer wins, writes to ``r0``
+    dropped), then stores in slot order — run after every op of the
+    bundle has read its pre-bundle inputs.  Only unconditional writes
+    with literal register targets are lowered; anything else raises
+    :class:`BehaviorError` and the bundle stays on the buffered path.
+    """
+
+    def __init__(self, indent: str) -> None:
+        self.indent = indent
+        self.n = 0
+        self.reg_commits: List[str] = []
+        self.store_commits: List[str] = []
+
+    def _temp(self) -> str:
+        self.n += 1
+        return f"_b{self.n}"
+
+    def lower(self, emitter: "_Emitter", name: str, args: List[str],
+              indent: str, out: List[str]) -> None:
+        if indent != self.indent:
+            raise BehaviorError(
+                f"operation {emitter.op.name!r}: conditional write"
+            )
+        if name == "W":
+            if not args[0].isdigit():
+                raise BehaviorError(
+                    f"operation {emitter.op.name!r}: computed register"
+                )
+            value = self._temp()
+            out.append(f"{indent}{value} = ({args[1]}) & {MASK32}")
+            if int(args[0]) != 0:
+                emitter.uses_regs = True
+                self.reg_commits.append(
+                    f"{indent}regs[{args[0]}] = {value}"
+                )
+            return
+        size = _STORE_SIZES[name]
+        addr, value = self._temp(), self._temp()
+        out.append(f"{indent}{addr} = {args[0]}")
+        out.append(f"{indent}{value} = {args[1]}")
+        emitter.uses_stores.add(size)
+        self.store_commits.append(f"{indent}st{size}({addr}, {value})")
 
 
 def sim_function_name(op: Operation) -> str:
@@ -402,6 +460,72 @@ _INLINE_CACHE: Dict[Tuple, InlinedStmts] = {}
 _USES_IP: Dict[Tuple[str, str], bool] = {}
 
 
+def _inline_ops(
+    ops: Tuple[Tuple[Operation, Tuple[int, ...]], ...],
+    ip: int,
+    next_ip: int,
+    indent: str,
+    defer: bool,
+) -> InlinedStmts:
+    """Shared body of :func:`inline_direct_stmts` and
+    :func:`inline_bundle_stmts`: substitute each op's decoded values
+    and ``IP``/``NIP`` as literals, emit its statements in order, and
+    memoise per encoding unless a behaviour mentions ``IP``/``NIP``.
+    """
+    memo = True
+    for op, _values in ops:
+        op_key = (op.name, op.behavior)
+        uses_ip = _USES_IP.get(op_key)
+        if uses_ip is None:
+            uses_ip = any(
+                isinstance(node, ast.Name) and node.id in ("IP", "NIP")
+                for node in ast.walk(_parse_cached(op))
+            )
+            _USES_IP[op_key] = uses_ip
+        memo = memo and not uses_ip
+    key = (
+        tuple(((op.name, op.behavior), values) for op, values in ops),
+        indent,
+        defer,
+    )
+    if memo:
+        cached = _INLINE_CACHE.get(key)
+        if cached is not None:
+            return cached
+    deferred = _DeferredWrites(indent) if defer else None
+    out: List[str] = []
+    uses_regs = False
+    loads: set = set()
+    stores: set = set()
+    for op, values in ops:
+        if defer and op.kind not in _DIRECT_KINDS:
+            raise BehaviorError(
+                f"operation {op.name!r}: {op.kind} op in a bundle body"
+            )
+        subst = {
+            f.name: repr(values[index])
+            for index, f in enumerate(op.value_fields)
+        }
+        subst["IP"] = repr(ip)
+        subst["NIP"] = repr(next_ip)
+        emitter = _Emitter(op, direct=True, subst=subst,
+                           local_prefix="_t_", defer=deferred)
+        for stmt in _parse_cached(op).body:
+            emitter.stmt(stmt, indent, out)
+        uses_regs = uses_regs or emitter.uses_regs
+        loads |= emitter.uses_loads
+        stores |= emitter.uses_stores
+    if deferred is not None:
+        out.extend(deferred.reg_commits)
+        out.extend(deferred.store_commits)
+    result: InlinedStmts = (
+        tuple(out), uses_regs, frozenset(loads), frozenset(stores)
+    )
+    if memo:
+        _INLINE_CACHE[key] = result
+    return result
+
+
 def inline_direct_stmts(
     op: Operation,
     values: Tuple[int, ...],
@@ -426,39 +550,26 @@ def inline_direct_stmts(
     encodings constantly — except for the rare behaviour that mentions
     ``IP``/``NIP``, whose literals differ per address.
     """
-    op_key = (op.name, op.behavior)
-    uses_ip = _USES_IP.get(op_key)
-    if uses_ip is None:
-        uses_ip = any(
-            isinstance(node, ast.Name) and node.id in ("IP", "NIP")
-            for node in ast.walk(_parse_cached(op))
-        )
-        _USES_IP[op_key] = uses_ip
-    if not uses_ip:
-        key = (op_key, values, indent)
-        cached = _INLINE_CACHE.get(key)
-        if cached is not None:
-            return cached
-    tree = _parse_cached(op)
-    subst = {
-        f.name: repr(values[index])
-        for index, f in enumerate(op.value_fields)
-    }
-    subst["IP"] = repr(ip)
-    subst["NIP"] = repr(next_ip)
-    emitter = _Emitter(op, direct=True, subst=subst, local_prefix="_t_")
-    out: List[str] = []
-    for stmt in tree.body:
-        emitter.stmt(stmt, indent, out)
-    result: InlinedStmts = (
-        tuple(out),
-        emitter.uses_regs,
-        frozenset(emitter.uses_loads),
-        frozenset(emitter.uses_stores),
-    )
-    if not uses_ip:
-        _INLINE_CACHE[(op_key, values, indent)] = result
-    return result
+    return _inline_ops(((op, values),), ip, next_ip, indent, False)
+
+
+def inline_bundle_stmts(
+    ops: Tuple[Tuple[Operation, Tuple[int, ...]], ...],
+    ip: int,
+    next_ip: int,
+) -> InlinedStmts:
+    """Inline the executing ops of one VLIW bundle with deferred writes.
+
+    ``ops`` holds ``(operation, decoded values)`` per executing slot,
+    in slot order.  The emitted statements keep the buffered commit's
+    read-before-write semantics exactly: every op reads pre-bundle
+    registers and memory, register writes then commit in slot order
+    (``r0`` stays 0), and stores follow the register writes.  Raises
+    :class:`BehaviorError` when an op is not an ALU/memory operation or
+    writes conditionally.  Memoised per bundle encoding like
+    :func:`inline_direct_stmts`.
+    """
+    return _inline_ops(ops, ip, next_ip, "    ", True)
 
 
 def _resolve_literal(

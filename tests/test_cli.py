@@ -49,6 +49,24 @@ class TestCompileAndRun:
         elf = str(tmp_path / "q.elf")
         assert main(["compile", "qsort", "-o", elf]) == 0
 
+    def test_mixed_isa_doe_run(self, tmp_path, capsys):
+        """DOE is sized for the widest ISA in the program, not the
+        entry ISA: a RISC entry calling a vliw4 function runs."""
+        import json
+
+        elf = str(tmp_path / "mix.elf")
+        report = str(tmp_path / "m.json")
+        assert main(["compile", "dct4x4", "-o", elf,
+                     "--mixed", "dct4x4=vliw4"]) == 0
+        assert main(["run", elf, "--model", "doe",
+                     "--metrics", report]) == 0
+        assert "doe cycles:   89295" in capsys.readouterr().out
+        with open(report) as fh:
+            metrics = json.load(fh)["metrics"]
+        assert metrics["sim.executed_instructions"] == 80_680
+        assert metrics["cycles.doe.cycles"] == 89_295
+        assert metrics["sim.isa_switches"] == 1_280
+
     def test_mixed_flag(self, tmp_path, capsys):
         src = tmp_path / "m.kc"
         src.write_text(

@@ -22,6 +22,10 @@ from repro.telemetry import HotspotProfiler
 
 BENCHMARKS = ("cjpeg", "djpeg", "fft", "qsort", "aes", "dct4x4", "crc32")
 
+#: The matrix's workloads: every benchmark on RISC (plain name) and as
+#: a vliw4 build (``name@vliw4``), whose bundles fuse slot by slot.
+WORKLOADS = BENCHMARKS + tuple(f"{name}@vliw4" for name in BENCHMARKS)
+
 #: Cap per differential run — enough to cross HOT_THRESHOLD on every
 #: hot loop and exercise the memory hierarchy, small enough that the
 #: full matrix stays in tier-1 time.
@@ -42,8 +46,10 @@ _BUILDS = {}
 
 
 def built_benchmark(name):
+    """Build a workload: a benchmark name, or ``name@isa``."""
     if name not in _BUILDS:
-        _BUILDS[name] = build_benchmark(name)
+        program, _, isa = name.partition("@")
+        _BUILDS[name] = build_benchmark(program, isa=isa or "risc")
     return _BUILDS[name]
 
 
@@ -82,7 +88,7 @@ class TestFusedMatchesObserve:
 
     @pytest.mark.parametrize("hierarchy", sorted(HIERARCHIES))
     @pytest.mark.parametrize("kind", ["aie", "doe"])
-    @pytest.mark.parametrize("name", BENCHMARKS)
+    @pytest.mark.parametrize("name", WORKLOADS)
     def test_cycles_bitwise_identical(self, name, kind, hierarchy):
         fused, fused_model, ref, ref_model = differential_pair(
             name, kind, HIERARCHIES[hierarchy]
@@ -95,9 +101,12 @@ class TestFusedMatchesObserve:
         assert fused.output == ref.output
         # The fused engine actually took the fused path (otherwise
         # this differential is vacuous).
-        assert fused.interpreter.superblock.translations > 0
+        engine = fused.interpreter.superblock
+        assert engine.translations > 0
+        assert any(plan.fused_full_fn or plan.fused_body_fn
+                   for plan in engine.plans.values())
 
-    @pytest.mark.parametrize("name", ["dct4x4", "qsort"])
+    @pytest.mark.parametrize("name", ["dct4x4", "qsort", "dct4x4@vliw4"])
     def test_doe_drift_state_identical(self, name):
         _fused, fused_model, _ref, ref_model = differential_pair(
             name, "doe", HIERARCHIES["tiny"]

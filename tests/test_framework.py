@@ -43,6 +43,20 @@ class TestPipeline:
         assert built.entry_symbol == "$vliw2$main"
         assert built.issue_width == 2
 
+    @pytest.mark.parametrize("isa,width", [("risc", 1), ("vliw4", 4),
+                                           ("vliw6", 6)])
+    def test_single_isa_width_ignores_libc_stubs(self, isa, width):
+        """The linker adds libc stubs for every ISA; they must not
+        widen a single-ISA program's cycle model."""
+        built = build(SOURCE, isa=isa, filename="app.kc")
+        assert built.issue_width == width
+
+    def test_mixed_build_width_is_widest_isa(self):
+        built = build(SOURCE, isa="risc", isa_map={"helper": "vliw4"},
+                      filename="app.kc")
+        assert built.entry_isa == 0
+        assert built.issue_width == 4
+
     def test_mixed_build(self):
         built = build(SOURCE, isa="risc", isa_map={"helper": "vliw4"},
                       filename="app.kc")

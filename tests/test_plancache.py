@@ -24,10 +24,10 @@ from repro.sim.plancache import FORMAT_VERSION, PlanCache, default_cache_dir
 _BUILDS = {}
 
 
-def built_benchmark(name):
-    if name not in _BUILDS:
-        _BUILDS[name] = build_benchmark(name)
-    return _BUILDS[name]
+def built_benchmark(name, isa="risc"):
+    if (name, isa) not in _BUILDS:
+        _BUILDS[name, isa] = build_benchmark(name, isa=isa)
+    return _BUILDS[name, isa]
 
 
 def fresh_cache(tmp_path, built):
@@ -375,6 +375,34 @@ class TestWarmRuns:
         assert warm_engine.translations == 0
         assert warm_engine.plan_cache_hits > 0
         assert warm_model.cycles == cold_model.cycles
+        assert (warm.stats.architectural_dict()
+                == cold.stats.architectural_dict())
+        assert warm.output == cold.output
+
+    def test_warm_vliw4_bundles_reload_bitwise(self, tmp_path):
+        """Bundle plans persist like single-issue ones: a warm fused
+        DOE run reloads them and reproduces the cold run bitwise."""
+        built = built_benchmark("dct4x4", isa="vliw4")
+        runs = []
+        for _ in range(2):
+            model = DoeModel(issue_width=built.issue_width)
+            result = run(built, engine="superblock", cycle_model=model,
+                         plan_cache=fresh_cache(tmp_path, built))
+            runs.append((result, model))
+        (cold, cold_model), (warm, warm_model) = runs
+        assert cold.interpreter.superblock.translations > 0
+        warm_engine = warm.interpreter.superblock
+        assert warm_engine.translations == 0
+        assert warm_engine.plan_cache_hits > 0
+        # The reloaded variants are bundle translations, not misses.
+        assert any(
+            plan.fused_full_fn or plan.fused_body_fn
+            for plan in warm_engine.plans.values()
+            if any(dec.single is None for dec in plan.decs)
+        )
+        assert warm_model.cycles == cold_model.cycles
+        assert (list(warm_model.slot_last_start)
+                == list(cold_model.slot_last_start))
         assert (warm.stats.architectural_dict()
                 == cold.stats.architectural_dict())
         assert warm.output == cold.output

@@ -261,6 +261,19 @@ class TestExecuteJob:
         assert result["state"] == "done"
         assert result["cycles"] > 0
 
+    def test_mixed_isa_doe_job(self):
+        """A mixed-ISA build gets a DOE model wide enough for its
+        vliw4 function, though the entry ISA is RISC."""
+        result = execute_job(
+            "job-mix", JobSpec(program="dct4x4", isa="risc",
+                               isa_map={"dct4x4": "vliw4"}, model="doe"),
+            use_plan_cache=False,
+        )
+        assert result["state"] == "done", result.get("error")
+        assert result["instructions"] == 80_680
+        assert result["cycles"] == 89_295
+        assert result["report"]["metrics"]["sim.isa_switches"] == 1_280
+
     def test_warm_plan_cache_shared_across_jobs(self, tmp_path):
         spec = JobSpec(program="dct4x4", engine="superblock")
         cold = execute_job("job-1", spec, build_cache={},

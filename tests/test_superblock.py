@@ -12,7 +12,9 @@ import hashlib
 
 import pytest
 
+from repro.adl.kahrisma import ISA_VLIW4
 from repro.cycles.aie import AieModel
+from repro.cycles.branch import BranchModel, NotTakenPredictor
 from repro.cycles.doe import DoeModel
 from repro.cycles.ilp import IlpModel
 from repro.programs import load_program, program_names
@@ -22,6 +24,7 @@ from repro.sim.state import TEXT_BASE
 
 from .conftest import run_built
 from .test_sim_interpreter import enc, make_state
+
 
 @pytest.fixture()
 def loop_words(risc_table):
@@ -82,6 +85,21 @@ def snapshot(program, stats) -> dict:
     }
 
 
+def snapshot_state(state, stats) -> dict:
+    """Architectural state and statistics of a hand-assembled run."""
+    return {
+        "halted": state.halted,
+        "ip": state.ip,
+        "regs": tuple(state.regs),
+        "mem": mem_digest(state.mem),
+        "instructions": stats.executed_instructions,
+        "slots": stats.executed_slots,
+        "ops": stats.executed_ops,
+        "mem_instructions": stats.memory_instructions,
+        "mem_ops": stats.memory_ops,
+    }
+
+
 class TestDifferential:
     """predict vs superblock over every bundled benchmark program."""
 
@@ -98,6 +116,24 @@ class TestDifferential:
         base = snapshot(*run_built(built, engine="predict"))
         fast = snapshot(*run_built(built, engine="superblock"))
         assert base["isa_switches"] == 40
+        assert fast == base
+
+    @pytest.mark.parametrize("isa", ["vliw2", "vliw6", "vliw8"])
+    def test_vliw_dct4x4_bit_identical(self, kc, isa):
+        """Bundles of every width translate like vliw4's, cycles too."""
+        built = kc(load_program("dct4x4"), isa=isa,
+                   filename=f"dct4x4-{isa}.kc")
+        width = built.issue_width
+        runs = {}
+        for engine in ("predict", "superblock"):
+            model = DoeModel(issue_width=width)
+            program, stats = run_built(built, engine=engine,
+                                       cycle_model=model)
+            runs[engine] = (snapshot(program, stats), model.cycles,
+                            model.ops, list(model.slot_last_start))
+        assert runs["superblock"] == runs["predict"]
+        base = snapshot(*run_built(built, engine="predict"))
+        fast = snapshot(*run_built(built, engine="superblock"))
         assert fast == base
 
     def test_all_engines_agree(self, kc):
@@ -287,3 +323,198 @@ class TestEngineBehavior:
         assert stats.decoded_instructions == 6
         assert stats.executed_instructions == 33
         assert stats.executed_slots == 33
+
+
+#: The NOP operation word (opcode 0): pads a bundle's unused slots.
+NOP = 0
+
+
+class TestBundleTranslation:
+    """Hand-assembled vliw4 bundles through the translated engine.
+
+    Every case forces translation on first execution and compares the
+    translated run with the buffered ``predict`` loop: architectural
+    state and statistics functionally, and under AIE and DOE (NOP issue
+    counted and not, and with a branch model) the cycle model's full
+    state — fused, observed per instruction, and predict.
+    """
+
+    @staticmethod
+    def bundle(*words):
+        return list(words) + [NOP] * (4 - len(words))
+
+    @staticmethod
+    def models():
+        return {
+            "aie": AieModel,
+            "doe": lambda: DoeModel(issue_width=4),
+            "doe-nop-free": lambda: DoeModel(issue_width=4,
+                                             count_nop_issue=False),
+            # Mispredicted back-edges raise the fetch floor that each
+            # slot's first op of a fused body is clamped against.
+            "doe-branch": lambda: DoeModel(
+                issue_width=4,
+                branch_model=BranchModel(NotTakenPredictor(), penalty=7),
+            ),
+        }
+
+    @staticmethod
+    def model_state(model):
+        state = {"cycles": model.cycles, "ops": model.ops,
+                 "instructions": model.instructions,
+                 "reg_write_cycle": list(model.reg_write_cycle)}
+        if isinstance(model, DoeModel):
+            state["slot_last_start"] = list(model.slot_last_start)
+            state["max_completion"] = model.max_completion
+            state["fetch_floor"] = model.fetch_floor
+        return state
+
+    def run(self, target, words, engine, init=None, **kwargs):
+        state = make_state(target, words, isa_id=ISA_VLIW4)
+        if init is not None:
+            init(state)
+        interp = Interpreter(state, engine=engine, **kwargs)
+        stats = interp.run()
+        return snapshot_state(state, stats), interp
+
+    def check(self, target, words, monkeypatch, init=None):
+        """Differentials for ``words``; returns the functional snapshot."""
+        monkeypatch.setattr(superblock_mod, "HOT_THRESHOLD", 1)
+        variants = []
+        translate = superblock_mod.SuperblockPlan.translate
+
+        def spy(plan, timing=None):
+            made = translate(plan, timing)
+            variants.extend(made)
+            return made
+
+        monkeypatch.setattr(superblock_mod.SuperblockPlan, "translate", spy)
+        base, _ = self.run(target, words, "predict", init)
+        fast, _ = self.run(target, words, "superblock", init)
+        assert fast == base
+        assert "full" in variants or "body" in variants
+        for name, make in self.models().items():
+            runs = {}
+            for label, engine, fuse in (("predict", "predict", True),
+                                        ("fused", "superblock", True),
+                                        ("observe", "superblock", False)):
+                model = make()
+                snap, _ = self.run(target, words, engine, init,
+                                   cycle_model=model, fuse_cycles=fuse)
+                assert snap == base, (name, label)
+                runs[label] = self.model_state(model)
+            assert runs["fused"] == runs["predict"], name
+            assert runs["observe"] == runs["predict"], name
+        assert "fused_full" in variants or "fused_body" in variants
+        return base
+
+    def loop(self, table, body, count=3):
+        """``count`` iterations of ``body`` bundles, counted in r5."""
+        words = self.bundle(enc(table, "addi", rd=5, rs1=0, imm=count))
+        for b in body:
+            words += self.bundle(*b)
+        words += self.bundle(enc(table, "addi", rd=5, rs1=5, imm=-1))
+        back = -4 * (len(body) + 2)  # words from the next bundle
+        words += self.bundle(enc(table, "bne", rs1=5, rs2=0, imm=back))
+        words += self.bundle(enc(table, "halt"))
+        return words
+
+    def test_read_after_write_between_slots(self, target, risc_table,
+                                            monkeypatch):
+        t = risc_table
+        words = self.loop(t, [
+            [enc(t, "addi", rd=1, rs1=1, imm=1),
+             enc(t, "add", rd=2, rs1=2, rs2=1),     # reads r1 pre-bundle
+             enc(t, "mul", rd=3, rs1=1, rs2=1)],
+            [enc(t, "add", rd=1, rs1=2, rs2=0),
+             enc(t, "add", rd=2, rs1=1, rs2=0)],    # swap r1 and r2
+        ])
+
+        def init(state):
+            state.regs[1], state.regs[2] = 10, 100
+
+        snap = self.check(target, words, monkeypatch, init)
+        regs = snap["regs"]
+        # Hand-run: (r1, r2) -> (r2 + r1, r1 + 1) three times.
+        r1, r2 = 10, 100
+        for _ in range(3):
+            r1, r2, r3 = r2 + r1, r1 + 1, r1 * r1
+        assert (regs[1], regs[2], regs[3]) == (r1, r2, r3)
+
+    def test_two_slots_write_one_register(self, target, risc_table,
+                                          monkeypatch):
+        t = risc_table
+        words = self.loop(t, [
+            [enc(t, "addi", rd=3, rs1=0, imm=5),
+             enc(t, "addi", rd=3, rs1=0, imm=7),    # last writer wins
+             enc(t, "addi", rd=0, rs1=3, imm=9),    # r0 stays 0
+             enc(t, "add", rd=4, rs1=3, rs2=4)],   # reads r3 pre-bundle
+        ])
+        snap = self.check(target, words, monkeypatch)
+        regs = snap["regs"]
+        assert regs[0] == 0
+        assert regs[3] == 7
+        assert regs[4] == 0 + 7 + 7  # pre-bundle r3: 0, then 7, 7
+
+    def test_store_and_load_same_address(self, target, risc_table,
+                                         monkeypatch):
+        t = risc_table
+        words = self.loop(t, [
+            [enc(t, "sw", rt=5, rs1=10, imm=0),
+             enc(t, "lw", rd=6, rs1=10, imm=0),     # pre-bundle memory
+             enc(t, "add", rd=7, rs1=7, rs2=6),
+             enc(t, "sb", rt=7, rs1=10, imm=4)],
+        ], count=4)
+
+        def init(state):
+            state.regs[10] = 0x8000
+            state.mem.store4(0x8000, 13)
+
+        snap = self.check(target, words, monkeypatch, init)
+        regs = snap["regs"]
+        # r6 sees the previous iteration's store: 13, 4, 3, 2.
+        assert regs[6] == 2
+        assert regs[7] == 13 + 4 + 3
+
+    def test_bundle_store_into_own_plan_aborts(self, target, risc_table,
+                                               monkeypatch):
+        """A bundle store rewrites a later bundle of its own block."""
+        t = risc_table
+        base = TEXT_BASE
+        patched = base + 2 * 16
+        data = base + 4 * 16
+        words = (
+            self.bundle(enc(t, "lw", rd=1, rs1=0, imm=data),
+                        enc(t, "addi", rd=2, rs1=0, imm=patched),
+                        enc(t, "addi", rd=3, rs1=0, imm=4))
+            + self.bundle(enc(t, "addi", rd=3, rs1=3, imm=1),
+                          enc(t, "sw", rt=1, rs1=2, imm=0),
+                          enc(t, "addi", rd=4, rs1=3, imm=5))
+            + self.bundle(enc(t, "addi", rd=7, rs1=0, imm=1))   # patched
+            + self.bundle(enc(t, "halt"))
+            + self.bundle(enc(t, "addi", rd=7, rs1=0, imm=99))  # new word
+        )
+        snap = self.check(target, words, monkeypatch)
+        regs = snap["regs"]
+        assert regs[7] == 99
+        assert (regs[3], regs[4]) == (5, 9)
+        assert snap["instructions"] == 4
+
+    @pytest.mark.parametrize("where", ["leading", "between"])
+    def test_nop_only_bundles(self, target, risc_table, monkeypatch,
+                              where):
+        t = risc_table
+        work = [enc(t, "addi", rd=1, rs1=1, imm=1), NOP,
+                enc(t, "mul", rd=2, rs1=1, rs2=1),
+                enc(t, "lw", rd=3, rs1=10, imm=0)]
+        body = [[], work, [], [], work]
+        if where == "leading":
+            body = [[], [], work]
+        words = self.loop(t, body)
+
+        def init(state):
+            state.regs[10] = 0x8000
+
+        snap = self.check(target, words, monkeypatch, init)
+        assert snap["slots"] == 4 * snap["instructions"]
+

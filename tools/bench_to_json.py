@@ -34,9 +34,12 @@ trajectory to diff instead of eyeballing pytest-benchmark tables:
   ``docs/observability.md``; the hard CI gate lives in
   ``tools/telemetry_overhead.py``).
 
-Run from the repository root:
+Workloads build for RISC; a ``program@isa`` entry in ``--programs``
+builds the program for that ISA instead and is reported under the same
+key.  Run from the repository root:
 
     PYTHONPATH=src python tools/bench_to_json.py --out BENCH_table1.json
+    PYTHONPATH=src python tools/bench_to_json.py --programs cjpeg,cjpeg@vliw4
 """
 
 from __future__ import annotations
@@ -383,7 +386,9 @@ def measure_block_len(built, repeats):
 
 
 def measure_workload(name, engines, repeats, shards=0):
-    built = build_benchmark(name)
+    """Measure one ``--programs`` entry: a program, or ``program@isa``."""
+    program, _, isa = name.partition("@")
+    built = build_benchmark(program, isa=isa or "risc")
     entry = {"engines": {}}
     for engine in engines:
         if engine == "aot":
@@ -422,7 +427,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--programs", default="cjpeg,dct4x4",
-        help="comma-separated workloads, or 'all' (default: cjpeg,dct4x4)",
+        help="comma-separated workloads, each a program or program@isa "
+             "(e.g. cjpeg@vliw4), or 'all' (default: cjpeg,dct4x4)",
     )
     parser.add_argument(
         "--engines", default=",".join(ENGINES),
