@@ -18,6 +18,7 @@ from ..sim.decoder import (
     KIND_NOP,
     KIND_STORE,
 )
+from ..targetgen.behavior_compiler import address_expr
 from .base import BlockCompiler, CycleModel
 from .branch import BranchModel
 from .memmodel import (
@@ -159,11 +160,11 @@ class _AieBlockCompiler(BlockCompiler):
     re-derives all state from it each call, so plans survive
     ``reset``/``load_state`` and persistent-cache reuse.  Timing
     locals use a ``_y`` prefix (functional locals use ``_t_``,
-    bundle temporaries ``_b``).
+    bundle temporaries ``_b``, registers ``_r<n>``).
     """
 
     def begin(self) -> None:
-        self.uses_regs = False
+        self.reads = set()
         self._n_instr = 0
         self._n_ops = 0
         #: Accumulated constant cycle advance not yet materialised as a
@@ -195,16 +196,15 @@ class _AieBlockCompiler(BlockCompiler):
             self._pending += advance
             return []
         self._mem = True
-        self.uses_regs = True
         out: List[str] = []
         self._flush_pending(out)
         # The issue cycle stays in ``_ycc`` until the last query.
         done = "_ycc" if len(mem_ops) == 1 else "_ym"
         for index, op in enumerate(mem_ops):
+            self.reads.add(op.mem_base)
             out.append(
-                f"_yx = _yacc((regs[{op.mem_base}] + {op.mem_imm})"
-                f" & 4294967295, {op.kind_code == KIND_STORE}, "
-                f"{op.slot}, _ycc)"
+                f"_yx = _yacc({address_expr(op.mem_base, op.mem_imm)}, "
+                f"{op.kind_code == KIND_STORE}, {op.slot}, _ycc)"
             )
             if index == 0:
                 out.append(

@@ -52,10 +52,11 @@ class BlockCompiler:
 
     def __init__(self, model) -> None:
         self.model = model
-        #: Set during emission when a timing statement reads ``regs``
-        #: (effective-address computation); ORed into the functional
-        #: body's own flag by the translator.
-        self.uses_regs = False
+        #: Registers the timing statements read (effective addresses,
+        #: spelled with ``behavior_compiler.reg_local``); the
+        #: translator's function assembler binds them with the
+        #: functional body's own.
+        self.reads: set = set()
 
     def begin(self) -> None:
         raise NotImplementedError

@@ -31,6 +31,7 @@ from ..sim.decoder import (
     KIND_NOP,
     KIND_STORE,
 )
+from ..targetgen.behavior_compiler import address_expr
 from .base import BlockCompiler, CycleModel
 from .branch import BranchModel
 from .memmodel import (
@@ -235,7 +236,7 @@ class _DoeBlockCompiler(BlockCompiler):
     """
 
     def begin(self) -> None:
-        self.uses_regs = False
+        self.reads = set()
         self._n_instr = 0
         self._n_ops = 0
         #: Folded issue bumps of preceding NOPs, per slot.
@@ -288,10 +289,11 @@ class _DoeBlockCompiler(BlockCompiler):
             target = f"_yr{dsts[0]}" if dsts else "_yx"
             if kind == KIND_LOAD or kind == KIND_STORE:
                 self._mem = True
-                self.uses_regs = True
+                self.reads.add(op.mem_base)
                 out.append(
-                    f"{target} = _yacc((regs[{op.mem_base}] + {op.mem_imm})"
-                    f" & 4294967295, {kind == KIND_STORE}, {slot}, {st})"
+                    f"{target} = _yacc("
+                    f"{address_expr(op.mem_base, op.mem_imm)}, "
+                    f"{kind == KIND_STORE}, {slot}, {st})"
                 )
             elif op.delay:
                 out.append(f"{target} = {st} + {op.delay}")

@@ -5,33 +5,38 @@ plans lazily, one block at a time, paying a dict-keyed dispatch and an
 engine re-entry between blocks.  This module moves all of that offline
 — the generated-simulator idea of Reshadi & Dutt applied to whole
 programs: ``kahrisma compile <elf>`` statically discovers every
-superblock entry point in the executable, translates each plan with
-the *same* emission path the interactive engine uses
-(:meth:`~repro.sim.superblock.SuperblockPlan.translate`, including the
-fused AIE/DOE timing variants), and concatenates the results into one
-generated Python module whose dispatch loop is computed-goto style: a
-``while`` over a dense IP→function table, so block-to-block chaining
-is a local list index instead of a hash lookup.
+superblock entry point in the executable, translates each plan, and
+concatenates the results into one generated Python module whose
+dispatch loop is computed-goto style: a ``while`` over a dense
+IP→function table, so block-to-block chaining is a local list index
+instead of a hash lookup.
+
+There is one emission path.  Each plan is composed once by
+:func:`~repro.sim.superblock.plan_pieces` — the interactive engine's
+own composition, including the fused AIE/DOE timing variants and VLIW
+bundles — and a covered block's module function *is* that plan's
+translated variant, renamed.  The emitter already folds and
+register-promotes (see :mod:`repro.targetgen.behavior_compiler`), so
+nothing here re-parses or rewrites generated code.
 
 On top of the per-block functions the compiler forms **traces**: runs
 of covered blocks connected by constant control transfers (the
 fall-through of conditional branches, the targets of jumps and calls)
-are inlined — source-level, through the same emission primitives the
-per-block translator uses — into single functions, and a constant
-transfer back to the trace entry becomes a native ``while``
+are spliced from the same pieces into single functions, and a
+constant transfer back to the trace entry becomes a native ``while``
 back-edge.  Inside a trace, block-to-block chaining costs nothing:
 no dispatch, no call, no per-block statistics (constant-indexed hit
-counters replace them, collapsed into totals once per run).  This is
-where the tier's speedup over the interactive engine comes from; the
-dense table still handles computed transfers between traces.
+counters replace them, collapsed into totals once per run), and
+registers stay in locals across blocks.  The dense table still
+handles computed transfers between traces.
 
 Discovery is a CFG walk from the ELF entry point and every function
-symbol: inlined branch terminators expose their targets as constant
-``return`` expressions in the generated source, capped/truncated
-blocks fall through, and call/return points seed the successor
-worklist.  A short profile-guided functional replay (budgeted, purely
-optional) adds targets static walking cannot see — indirect branches
-and ISA switches.  Entries are bounded to the ``.text`` segment.
+symbol: inlined branch terminators report their constant targets as
+data, capped/truncated blocks fall through, and call/return points
+seed the successor worklist.  A short profile-guided functional replay
+(budgeted, purely optional) adds targets static walking cannot see —
+indirect branches and ISA switches.  Entries are bounded to the
+``.text`` segment.
 
 The artifact is stored through the persistent plan cache as one
 whole-module entry per variant namespace (``""`` functional, the cycle
@@ -42,12 +47,13 @@ fallback engine reuses the very same translations.
 Correctness contract (the differential suite pins it bitwise):
 
 * **Coverage is partial by design.**  Only plans ending in an inlined
-  branch terminator enter the dense table; everything else — ISA
-  switches, halts, simops, ``jalr rd, rd`` hazards, any plan holding
-  a VLIW bundle — is *uncovered*, and the interpreter falls back to the
-  interactive superblock engine for exactly one block before
-  re-entering the table.  Inside the table the ISA can never change
-  and the machine can never halt, so the generated loop checks
+  branch terminator (a branch alone, or beside NOP slots of a VLIW
+  bundle) enter the dense table; everything else — ISA switches,
+  halts, simops, ``jalr rd, rd`` hazards, terminator bundles with
+  further executing ops — is *uncovered*, and the interpreter falls
+  back to the interactive superblock engine for exactly one block
+  before re-entering the table.  Inside the table the ISA can never
+  change and the machine can never halt, so the generated loop checks
   neither.
 * **Self-modifying code stays byte-precise.**  Every table entry
   retains its instruction-byte digest; binding verifies digests
@@ -78,33 +84,34 @@ the same instruction count as every other engine.
 
 from __future__ import annotations
 
-import ast
 import base64
-import hashlib
 import marshal
-import re
 import time
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from ..binutils.loader import load_executable, mangled_functions
-from ..targetgen.behavior_compiler import SIM_GLOBALS, inline_control_stmts
+from ..targetgen.behavior_compiler import SIM_GLOBALS, Exit
 from ..targetgen.optable import build_target
 from .decode_cache import DecodeCache
 from .decoder import KIND_STORE
 from .errors import DecodeError
 from .memory import PAGE_SHIFT, Memory
 from .superblock import (
-    PLAN_GENERAL,
+    Abort,
+    Pieces,
     SuperblockPlan,
-    _emit_body_lines,
+    _inline_terminator,
     _partial_stats,
+    assemble,
     plan_digest,
+    plan_pieces,
     walk_block,
 )
 
-#: Bump when the generated module layout or loop protocol changes.
-AOT_FORMAT = 2
+#: Bump when the generated module layout, loop protocol or emitted
+#: source changes.
+AOT_FORMAT = 3
 
 #: Instruction budget of the profile-guided discovery replay (a plain
 #: functional superblock run whose plan table seeds the static walk
@@ -118,12 +125,6 @@ TRACE_CAP = 24
 _EXIT_UNCOVERED = 0
 _EXIT_BUDGET = 1
 _EXIT_ABORT = 2
-
-_RETURN_RE = re.compile(r"^(\s*)return (.+?)\s*$")
-#: A foldable control-transfer target: digits and integer arithmetic
-#: only.  Anything referencing runtime state (``regs[...]``) contains
-#: letters and is left to the dense table at run time.
-_CONST_RE = re.compile(r"^[\d\s()+\-*<>&|^~%]+$")
 
 #: Warm-start memo: reviving a whole-program module costs a marshal
 #: load plus an exec; repeated runs in one process (benchmarks, shard
@@ -150,37 +151,6 @@ def _namespace_for(model) -> Tuple[Optional[str], object]:
     if fuser is None:
         return None, None
     return model.config_signature(), fuser
-
-
-def _const_value(expr: str) -> Optional[int]:
-    """Fold a constant integer return expression; None when dynamic."""
-    if not _CONST_RE.match(expr):
-        return None
-    try:
-        value = eval(expr, {"__builtins__": {}})  # noqa: S307
-    except Exception:
-        return None
-    return value if isinstance(value, int) else None
-
-
-def _static_successors(lines) -> List[int]:
-    """Constant control-transfer targets of inlined terminator lines.
-
-    The behaviour compiler folds decoded fields into literals, so
-    static targets surface as constant ``return`` expressions
-    (``return 4216``, ``return 4216 + ((-3) << 2)``); computed
-    transfers (``return (regs[1]) & ...``) reference state and are
-    skipped — the dense table resolves those at run time.
-    """
-    out: List[int] = []
-    for line in lines:
-        match = _RETURN_RE.match(line)
-        if match is None:
-            continue
-        value = _const_value(match.group(2))
-        if value is not None and value >= 0:
-            out.append(value)
-    return out
 
 
 def discover(
@@ -218,14 +188,10 @@ def discover(
             # Capped or truncated: control falls through.
             work.append((isa_id, plan.end_ip))
             continue
-        term = plan.term_dec
-        if term.single is not None:
-            inlined = inline_control_stmts(
-                term.single.entry.op, term.single.vals,
-                plan.term_ip, plan.term_next_ip,
-            )
-            if inlined is not None:
-                for target in _static_successors(inlined[0]):
+        inlined = _inline_terminator(plan.term_dec)
+        if inlined is not None:
+            for target in inlined.targets:
+                if target >= 0:
                     work.append((isa_id, target))
         # The terminator's fall-through: branch not-taken, a call's
         # return point, the word after a switch thunk.  Dead seeds are
@@ -237,79 +203,9 @@ def discover(
 # -- trace formation --------------------------------------------------------
 
 
-def _plan_pieces(plan: SuperblockPlan, fuser) -> Optional[dict]:
-    """Emission pieces of one full plan, kept separate for inlining.
-
-    Runs the very same primitives :meth:`SuperblockPlan.translate`
-    composes (:func:`~repro.sim.superblock._emit_body_lines`,
-    :func:`~repro.targetgen.behavior_compiler.inline_control_stmts`,
-    the block compiler's begin/instr/term/flush/prologue protocol) but
-    keeps the body and terminator statement lists separate so the
-    trace emitter can splice per-block bookkeeping between them.
-    None when the plan has no full translation — such plans never
-    enter a trace.
-    """
-    term = plan.term_dec
-    if term is None or term.single is None:
-        return None
-    inlined = inline_control_stmts(
-        term.single.entry.op, term.single.vals,
-        plan.term_ip, plan.term_next_ip,
-    )
-    if inlined is None:
-        return None
-    body_decs = plan.decs[:-1]
-    body_has_store = any(
-        op.kind_code == KIND_STORE for d in body_decs for op in d.ops
-    )
-    timing_prologue: List[str] = []
-    if fuser is not None:
-        fuser.begin()
-        emitted = _emit_body_lines(
-            body_decs, body_has_store, invert_abort=True, timing=fuser
-        )
-        if emitted is None:
-            return None
-        t_timing = fuser.term(term)
-        if t_timing is None:
-            return None
-        pre, uses_regs, loads, stores = emitted
-        pre = list(pre)
-        for stmt in t_timing:
-            pre.append("    " + stmt)
-        for stmt in fuser.flush():
-            pre.append("    " + stmt)
-        timing_prologue = list(fuser.prologue())
-        uses_regs = uses_regs or fuser.uses_regs
-    else:
-        emitted = _emit_body_lines(body_decs, body_has_store,
-                                   invert_abort=True)
-        if emitted is None:
-            return None
-        pre, uses_regs, loads, stores = emitted
-        pre = list(pre)
-    term_lines, t_regs, t_loads, t_stores = inlined
-    final = _RETURN_RE.match(term_lines[-1])
-    final_succ = None
-    if final is not None and final.group(1) == "    ":
-        final_succ = _const_value(final.group(2))
-    ret_consts = set()
-    for line in term_lines:
-        match = _RETURN_RE.match(line)
-        if match is not None:
-            value = _const_value(match.group(2))
-            if value is not None:
-                ret_consts.add(value)
-    return {
-        "pre": pre,
-        "term": list(term_lines),
-        "uses_regs": uses_regs or t_regs,
-        "loads": loads | t_loads,
-        "stores": stores | t_stores,
-        "timing_prologue": timing_prologue,
-        "final_succ": final_succ,
-        "ret_consts": ret_consts,
-    }
+def _successors(p: Pieces) -> set:
+    """Constant transfer targets of a covered block, fall-through too."""
+    return set(p.branch.targets) | {p.branch.fallthrough}
 
 
 def _build_regions(covered_keys, pieces, prefixes) -> List[List[Tuple[int, int]]]:
@@ -337,12 +233,10 @@ def _build_regions(covered_keys, pieces, prefixes) -> List[List[Tuple[int, int]]
         pending: List[int] = []
         cur = key
         while len(layout) < TRACE_CAP:
-            p = pieces[cur]
-            for value in sorted(p["ret_consts"]):
+            for value in sorted(_successors(pieces[cur])):
                 if value not in members and value not in pending:
                     pending.append(value)
-            succ = p["final_succ"]
-            candidates = ([succ] if succ is not None else []) + pending
+            candidates = [pieces[cur].branch.fallthrough] + pending
             chosen = None
             for value in candidates:
                 if value in members:
@@ -362,7 +256,7 @@ def _build_regions(covered_keys, pieces, prefixes) -> List[List[Tuple[int, int]]
             stops.update(prefixes.get((isa_id, chosen)) or {})
             layout.append((isa_id, chosen))
             cur = (isa_id, chosen)
-        back_edge = any(head_ip in pieces[k]["ret_consts"] for k in layout)
+        back_edge = any(head_ip in _successors(pieces[k]) for k in layout)
         if len(layout) == 1 and not back_edge:
             continue
         regions.append(layout)
@@ -373,10 +267,10 @@ def _emit_trace(
     name: str,
     chain: List[Tuple[int, int]],
     plans,
-    pieces,
+    pieces: Dict[Tuple[int, int], Pieces],
     index_of: Dict[Tuple[int, int], int],
     fused: bool,
-) -> List[str]:
+) -> str:
     """Emit one region function: inlined blocks, internal jumps.
 
     Protocol: ``(state, inv[, m], _zh, _zb)`` where ``_zh`` is the
@@ -386,42 +280,37 @@ def _emit_trace(
     excludes the aborted block (its prefix is charged by the caller).
 
     Layout: one ``while 1`` whose body is the region's blocks in
-    layout order.  A final constant transfer to the next block falls
-    straight through (zero cost).  Any other constant transfer to a
-    member block sets a segment selector ``_zj`` and ``continue``s;
-    the loop body is partitioned into ``if _zj == k:`` segments
-    starting at each such join, so re-entry scans a few integer
-    compares instead of a dispatch-loop round trip.  Backward jumps
-    re-check the budget first — position strictly increases between
-    checks, so one pass can never execute more than ``pass_ni``
-    (the region's total instruction count) without a check, which
-    keeps the caller's budget pre-check sound.  Everything without a
-    constant in-region target returns to the dispatch loop.
+    layout order, each spliced from its :class:`Pieces` — the very
+    pieces its block function was assembled from.  A final constant
+    transfer to the next block falls straight through (zero cost).
+    Any other constant transfer to a member block sets a segment
+    selector ``_zj`` and ``continue``s; the loop body is partitioned
+    into ``if _zj == k:`` segments starting at each such join, so
+    re-entry scans a few integer compares instead of a dispatch-loop
+    round trip.  Backward jumps re-check the budget first — position
+    strictly increases between checks, so one pass can never execute
+    more than ``pass_ni`` (the region's total instruction count)
+    without a check, which keeps the caller's budget pre-check sound.
+    Everything without a constant in-region target returns to the
+    dispatch loop.
     """
-    isa_id, head_ip = chain[0]
     position = {k[1]: j for j, k in enumerate(chain)}
     pass_ni = sum(plans[k].n_instr for k in chain)
+
+    def exits(j: int):
+        """``(line, is_fall_through)`` over block ``j``'s terminator."""
+        lines = pieces[chain[j]].branch.lines
+        next_ip = chain[j + 1][1] if j + 1 < len(chain) else None
+        for pos, line in enumerate(lines):
+            yield line, (pos == len(lines) - 1 and line.target == next_ip)
 
     # Pass 1: join positions — members entered by an explicit internal
     # jump (anything but the dropped final fall-through transfer).
     joins = set()
-    for j, k in enumerate(chain):
-        term_lines = pieces[k]["term"]
-        next_ip = chain[j + 1][1] if j + 1 < len(chain) else None
-        for pos, line in enumerate(term_lines):
-            match = _RETURN_RE.match(line)
-            if match is None:
-                continue
-            value = _const_value(match.group(2))
-            if value is None or value not in position:
-                continue
-            if (
-                pos == len(term_lines) - 1
-                and match.group(1) == "    "
-                and value == next_ip
-            ):
-                continue  # fall-through, not a jump
-            joins.add(position[value])
+    for j in range(len(chain)):
+        for line, fall in exits(j):
+            if isinstance(line, Exit) and not fall and line.target in position:
+                joins.add(position[line.target])
     seg_of: Dict[int, int] = {}
     seg = -1
     for j in range(len(chain)):
@@ -431,479 +320,55 @@ def _emit_trace(
     nsegs = seg + 1
     base = "        " if nsegs > 1 else "    "
 
-    uses_regs = False
-    loads: set = set()
-    stores: set = set()
-    for k in chain:
-        p = pieces[k]
-        uses_regs = uses_regs or p["uses_regs"]
-        loads |= p["loads"]
-        stores |= p["stores"]
-    args = "state, inv, m, _zh, _zb" if fused else "state, inv, _zh, _zb"
-    out = [f"def {name}({args}):"]
-    if uses_regs:
-        out.append("    regs = state.regs")
-    for intrinsic in sorted(loads):
-        size = intrinsic[1]
-        out.append(f"    ld{size} = state.mem.load{size}")
-    for size in sorted(stores):
-        out.append(f"    st{size} = state.mem.store{size}")
-    out.append("    _zn = 0")
+    out = ["    _zn = 0"]
     if nsegs > 1:
         out.append("    _zj = 0")
     out.append("    while 1:")
 
-    def emit_return(j: int, indent: str, expr: str) -> None:
-        value = _const_value(expr)
-        if value is not None and value in position:
-            target = position[value]
+    def emit_exit(j: int, line: Exit) -> None:
+        indent = base + line.indent
+        if line.target in position:
+            target = position[line.target]
             if target <= j:
                 # Backward jump: re-check the budget first so one
                 # call can never overrun the caller's allowance.
-                out.append(f"{base}{indent}if _zn + {pass_ni} > _zb:")
-                out.append(f"{base}{indent}    return {value}, _zn")
+                out.append(f"{indent}if _zn + {pass_ni} > _zb:")
+                out.append(f"{indent}    return {line.target}, _zn")
             if nsegs > 1:
-                out.append(f"{base}{indent}_zj = {seg_of[target]}")
-            out.append(f"{base}{indent}continue")
+                out.append(f"{indent}_zj = {seg_of[target]}")
+            out.append(f"{indent}continue")
         else:
-            out.append(f"{base}{indent}return ({expr}), _zn")
+            out.append(f"{indent}return ({line.expr}), _zn")
 
     for j, k in enumerate(chain):
         if nsegs > 1 and (j == 0 or j in joins):
             out.append(f"        if _zj == {seg_of[j]}:")
         p = pieces[k]
-        plan = plans[k]
-        next_ip = chain[j + 1][1] if j + 1 < len(chain) else None
-        for stmt in p["timing_prologue"]:
+        for stmt in p.prologue:
             out.append(base + "    " + stmt)
-        for line in p["pre"]:
-            match = _RETURN_RE.match(line)
-            if match is not None:
+        for line in p.pre:
+            if isinstance(line, Abort):
                 # A self-modifying-code abort: the block is unfinished,
                 # so ``_zn`` (completed blocks only) is exactly right.
-                emit_return(j, match.group(1), match.group(2))
+                out.append(f"{base}{line.indent}return {~line.stop}, _zn")
             else:
                 out.append(base + line)
-        out.append(f"{base}    _zn += {plan.n_instr}")
+        out.append(f"{base}    _zn += {plans[k].n_instr}")
         out.append(f"{base}    _zh[{index_of[k]}] += 1")
-        term_lines = p["term"]
         fell = False
-        for pos, line in enumerate(term_lines):
-            match = _RETURN_RE.match(line)
-            if match is None:
+        for line, fall in exits(j):
+            if not isinstance(line, Exit):
                 out.append(base + line)
-                continue
-            indent, expr = match.group(1), match.group(2)
-            if (
-                pos == len(term_lines) - 1
-                and indent == "    "
-                and next_ip is not None
-                and _const_value(expr) == next_ip
-            ):
-                fell = True
-                continue  # falls through into the next inlined block
-            emit_return(j, indent, expr)
+            elif fall:
+                fell = True  # falls through into the next inlined block
+            else:
+                emit_exit(j, line)
         if fell and nsegs > 1 and (j + 1) in joins:
             # Fall-through into a join block: select its segment so
             # the `if _zj == k` guard right below lets it in.
             out.append(f"{base}    _zj = {seg_of[j + 1]}")
-    return out
-
-
-# -- ahead-of-time optimisation ---------------------------------------------
-#
-# The interactive engine translates under a latency budget (a plan may
-# be translated and thrown away after a few executions), so its
-# emission stays deliberately simple.  The AOT tier translates once,
-# offline — it can afford a real optimisation pass over the generated
-# source.  Two transforms, both exact:
-#
-# * **Sign-extension inlining**: ``s8/s16/s32(x)`` helper calls become
-#   the branch-free expression ``((x & mask) ^ sign) - sign`` — same
-#   two's-complement result, no Python call.
-# * **Register promotion**: constant-indexed ``regs[k]`` accesses
-#   become function locals ``_rk``, loaded once at entry and written
-#   back (written registers only) immediately before *every* return —
-#   abort returns included, so the architectural register file is
-#   bit-exact at each exit point, exactly as the unpromoted code left
-#   it.  Inside a trace the back-edge ``continue`` keeps the registers
-#   in locals across iterations, which is where the win lives.
-#   Promotion is skipped entirely when any ``regs`` use is not a
-#   constant-indexed subscript (aliasing would be unsound).
-
-#: ``name -> (mask, sign bit)`` of the inlinable sign-extend helpers
-#: (their definitions live in ``behavior_compiler``; the inlined
-#: expression is the branch-free equivalent).
-_SEXT_HELPERS = {
-    "s8": (0xFF, 0x80),
-    "s16": (0xFFFF, 0x8000),
-    "s32": (0xFFFFFFFF, 0x80000000),
-}
-
-_MASK32_C = 0xFFFFFFFF
-_SIGN32_C = 0x80000000
-
-
-def _is_masked_clean(node: ast.AST) -> bool:
-    """Is ``node``'s value provably already in ``[0, 2**32)``?
-
-    Register-file reads are clean by invariant (every write path masks
-    — the emitter's ``& MASK32``, the loader, the syscall layer), the
-    memory intrinsics return masked values, and masking/right-shifting
-    a clean value stays clean.
-    """
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, int) and 0 <= node.value <= _MASK32_C
-    if (
-        isinstance(node, ast.Subscript)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "regs"
-    ):
-        return True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("ld1", "ld2", "ld4")
-    ):
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
-        return any(
-            isinstance(s, ast.Constant)
-            and isinstance(s.value, int)
-            and 0 <= s.value <= _MASK32_C
-            for s in (node.left, node.right)
-        )
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift):
-        return _is_masked_clean(node.left)
-    return False
-
-
-def _ring_simplify(node: ast.AST) -> ast.AST:
-    """Simplify ``node`` given it sits under a ``& 0xFFFFFFFF`` mask.
-
-    Mod-2**32 congruence is preserved by ``+ - * <<`` (left operand)
-    and by the bitwise operators (bit *i* of a result depends only on
-    bits ``<= i`` of the operands), so inside a masked context
-    ``s32(x)`` is congruent to ``x`` and an inner ``& 0xFFFFFFFF`` is
-    redundant.  Right shifts and divisions depend on high bits and are
-    deliberately not descended into.
-    """
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "s32"
-        and len(node.args) == 1
-        and not node.keywords
-    ):
-        return _ring_simplify(node.args[0])
-    if isinstance(node, ast.BinOp):
-        op = node.op
-        if isinstance(op, ast.BitAnd):
-            if (
-                isinstance(node.right, ast.Constant)
-                and node.right.value == _MASK32_C
-            ):
-                return _ring_simplify(node.left)
-            if (
-                isinstance(node.left, ast.Constant)
-                and node.left.value == _MASK32_C
-            ):
-                return _ring_simplify(node.right)
-        if isinstance(op, (ast.Add, ast.Sub, ast.Mult,
-                           ast.BitAnd, ast.BitOr, ast.BitXor)):
-            node.left = _ring_simplify(node.left)
-            node.right = _ring_simplify(node.right)
-            return node
-        if isinstance(op, ast.LShift):
-            node.left = _ring_simplify(node.left)
-            return node
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        node.operand = _ring_simplify(node.operand)
-        return node
-    return node
-
-
-class _RingMask(ast.NodeTransformer):
-    """Mask-context and identity folding over generated expressions.
-
-    ``E & 0xFFFFFFFF`` ring-simplifies ``E`` and disappears entirely
-    when ``E`` is provably masked already; the integer identities
-    ``x+0``, ``x-0``, ``x<<0``, ``x|0``, ``x^0``, ``x*1`` fold (the
-    emitter produces them for register moves and zero offsets, and
-    they are exact for Python integers).
-    """
-
-    def visit_BinOp(self, node: ast.BinOp):
-        self.generic_visit(node)
-        op = node.op
-        if isinstance(op, ast.BitAnd):
-            for this, other in (
-                (node.right, node.left), (node.left, node.right)
-            ):
-                if (
-                    isinstance(this, ast.Constant)
-                    and this.value == _MASK32_C
-                ):
-                    inner = _ring_simplify(other)
-                    if _is_masked_clean(inner):
-                        return inner
-                    return ast.BinOp(inner, ast.BitAnd(),
-                                     ast.Constant(_MASK32_C))
-        if isinstance(node.right, ast.Constant):
-            value = node.right.value
-            if value == 0 and isinstance(
-                op, (ast.Add, ast.Sub, ast.LShift, ast.RShift,
-                     ast.BitOr, ast.BitXor)
-            ):
-                return node.left
-            if value == 1 and isinstance(op, ast.Mult):
-                return node.left
-        if (
-            isinstance(node.left, ast.Constant)
-            and node.left.value == 0
-            and isinstance(op, (ast.Add, ast.BitOr, ast.BitXor))
-        ):
-            return node.right
-        return node
-
-
-def _is_s32_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "s32"
-        and len(node.args) == 1
-        and not node.keywords
-    )
-
-
-class _SignedCompare(ast.NodeTransformer):
-    """``s32(a) <op> s32(b)`` without materialising signed values.
-
-    For masked values the map ``y = s32(x) -> y + 2**31 = x ^ 2**31``
-    is a monotonic bijection onto ``[0, 2**32)``, so flipping the sign
-    bit of both operands preserves every ordering comparison; equality
-    needs no flip at all.
-    """
-
-    def visit_Compare(self, node: ast.Compare):
-        self.generic_visit(node)
-        if len(node.ops) != 1:
-            return node
-        left, right = node.left, node.comparators[0]
-        if not (_is_s32_call(left) and _is_s32_call(right)):
-            return node
-        op = node.ops[0]
-        if isinstance(op, (ast.Eq, ast.NotEq)):
-            node.left = _masked(left.args[0])
-            node.comparators[0] = _masked(right.args[0])
-        elif isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-            node.left = _flip_sign(left.args[0])
-            node.comparators[0] = _flip_sign(right.args[0])
-        return node
-
-
-def _masked(arg: ast.AST) -> ast.AST:
-    if _is_masked_clean(arg):
-        return arg
-    return ast.BinOp(arg, ast.BitAnd(), ast.Constant(_MASK32_C))
-
-
-def _flip_sign(arg: ast.AST) -> ast.AST:
-    return ast.BinOp(_masked(arg), ast.BitXor(), ast.Constant(_SIGN32_C))
-
-
-class _InlineSext(ast.NodeTransformer):
-    """Replace ``sN(x)`` calls with ``((x & mask) ^ sign) - sign``."""
-
-    def visit_Call(self, node: ast.Call):
-        self.generic_visit(node)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _SEXT_HELPERS
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            mask, sign = _SEXT_HELPERS[node.func.id]
-            masked = ast.BinOp(node.args[0], ast.BitAnd(),
-                               ast.Constant(mask))
-            flipped = ast.BinOp(masked, ast.BitXor(), ast.Constant(sign))
-            return ast.BinOp(flipped, ast.Sub(), ast.Constant(sign))
-        return node
-
-
-class _InlineLoad4(ast.NodeTransformer):
-    """Open-code the aligned-word fast path of ``Memory.load4``.
-
-    ``ld4(E)`` becomes an :class:`ast.IfExp` that masks the address
-    into a walrus temp, indexes the per-page word ``memoryview`` when
-    the address is aligned and the page exists, and otherwise falls
-    back to the bound ``ld4`` — which also covers big-endian hosts,
-    where ``Memory`` keeps no word views and ``_zg`` always returns
-    None.  The walrus temps are safe to share between sites: each
-    site's uses sit between its own assignment and its result, and
-    Python fully evaluates nested/earlier sites first.
-
-    Requires ``_zg = state.mem._views.get`` in the function prologue
-    (``_optimize_source`` inserts it when any site was rewritten; the
-    ``_views`` dict is mutated in place, never rebound, so the bound
-    ``get`` cannot go stale).
-    """
-
-    _TEMPLATE = (
-        "_zw[(_za & 4095) >> 2]"
-        " if not (_za := _ZARG) & 3"
-        " and (_zw := _zg(_za >> 12)) is not None"
-        " else ld4(_za)"
-    )
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def visit_Call(self, node: ast.Call):
-        self.generic_visit(node)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "ld4"
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            self.count += 1
-            expr = ast.parse(self._TEMPLATE, mode="eval").body
-            arg = _masked(node.args[0])
-
-            class _Splice(ast.NodeTransformer):
-                def visit_Name(self, name: ast.Name):
-                    return arg if name.id == "_ZARG" else name
-
-            return _Splice().visit(expr)
-        return node
-
-
-class _PromoteRegs(ast.NodeTransformer):
-    def visit_Subscript(self, node: ast.Subscript):
-        self.generic_visit(node)
-        if (
-            isinstance(node.value, ast.Name)
-            and node.value.id == "regs"
-            and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, int)
-        ):
-            return ast.Name(id=f"_r{node.slice.value}", ctx=node.ctx)
-        return node
-
-
-def _promote_registers(fn: ast.FunctionDef, always: bool) -> None:
-    """Promote ``regs[const]`` to locals in one generated function.
-
-    ``always`` forces promotion for trace functions (their loops
-    amortise the entry loads); plain block functions are promoted only
-    when the static access count beats the load/write-back overhead.
-    """
-    accounted = set()
-    used: Dict[int, int] = {}
-    written = set()
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "regs"
-            and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, int)
-        ):
-            accounted.add(id(node.value))
-            index = node.slice.value
-            used[index] = used.get(index, 0) + 1
-            if isinstance(node.ctx, (ast.Store, ast.Del)):
-                written.add(index)
-    bind_at = None
-    for i, stmt in enumerate(fn.body):
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "regs"
-        ):
-            bind_at = i
-            accounted.add(id(stmt.targets[0]))
-            break
-    if bind_at is None or not used:
-        return
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Name)
-            and node.id == "regs"
-            and id(node) not in accounted
-        ):
-            return  # regs escapes the constant-subscript pattern
-    if not always and sum(used.values()) < len(used) + len(written) + 2:
-        return
-    _PromoteRegs().visit(fn)
-    inits = [
-        ast.parse(f"_r{k} = regs[{k}]").body[0] for k in sorted(used)
-    ]
-    fn.body[bind_at + 1:bind_at + 1] = inits
-    if not written:
-        return
-    write_back = [f"regs[{k}] = _r{k}" for k in sorted(written)]
-
-    def rewrite(body):
-        out = []
-        for stmt in body:
-            for field in ("body", "orelse", "finalbody"):
-                sub = getattr(stmt, field, None)
-                if sub:
-                    setattr(stmt, field, rewrite(sub))
-            if isinstance(stmt, ast.Return):
-                out.extend(ast.parse(s).body[0] for s in write_back)
-            out.append(stmt)
-        return out
-
-    fn.body = rewrite(fn.body)
-
-
-#: Optimised-source memo, keyed by input digest.  The AST passes are
-#: the dominant cost of a whole-module compile, and identical inputs
-#: recur heavily — fused timing statements bake no memory-hierarchy
-#: parameters (accesses go through the bound model at run time), so
-#: two hierarchy configurations translate every plan to byte-identical
-#: source, and shared library blocks repeat across programs.
-_OPTIMIZE_MEMO: Dict[Tuple[bytes, bool], str] = {}
-
-
-def _optimize_source(source: str, *, always_promote: bool = False) -> str:
-    """Run the AOT optimisation pass over one generated function.
-
-    Exact-semantics transforms only (see the section comment above);
-    any parse or unparse failure returns the source untouched — the
-    pass is an accelerator, never load-bearing.
-    """
-    memo_key = (
-        hashlib.sha256(source.encode("utf-8")).digest(), always_promote
-    )
-    memoised = _OPTIMIZE_MEMO.get(memo_key)
-    if memoised is not None:
-        return memoised
-    try:
-        tree = ast.parse(source)
-        fn = tree.body[0]
-        if not isinstance(fn, ast.FunctionDef):
-            return source
-        _RingMask().visit(fn)
-        _SignedCompare().visit(fn)
-        _InlineSext().visit(fn)
-        loads = _InlineLoad4()
-        loads.visit(fn)
-        if loads.count:
-            fn.body.insert(0, ast.parse("_zg = state.mem._views.get").body[0])
-        _promote_registers(fn, always_promote)
-        # No fix_missing_locations: ast.unparse is purely structural,
-        # and the caller compiles the unparsed text, never this tree.
-        result = ast.unparse(tree)
-    except (SyntaxError, ValueError, RecursionError):
-        return source
-    _OPTIMIZE_MEMO[memo_key] = result
-    return result
+    args = "state, inv, m, _zh, _zb" if fused else "state, inv, _zh, _zb"
+    return assemble(f"def {name}({args}):", [pieces[k] for k in chain], out)
 
 
 # -- module emission --------------------------------------------------------
@@ -1345,40 +810,31 @@ def compile_module(
 
     plans = discover(cache, mem, seeds, max_len, bounds)
 
-    # Translate every plan through the engine's own emission path.
+    # Translate every plan through the engine's own emission path:
+    # each covered block function *is* the plan's full variant,
+    # renamed, and traces splice the same pieces.
+    fused = fuser is not None
     per_entry: Dict[Tuple[int, int], Tuple[SuperblockPlan, dict]] = {}
-    covered_keys: List[Tuple[int, int]] = []
+    pieces: Dict[Tuple[int, int], Pieces] = {}
     sources: Dict[Tuple[int, int], str] = {}
     covered_instr = total_instr = 0
     for key in sorted(plans):
         plan = plans[key]
         total_instr += plan.n_instr
-        # The interactive engine translates plans holding a multi-op
-        # (VLIW) instruction with deferred bundle writes; the AST passes
-        # below only know the single-issue form, so the AOT tier leaves
-        # them to the interactive fallback.
-        if plan.kind == PLAN_GENERAL or any(
-            dec.single is None for dec in plan.decs
-        ):
-            continue
         plan.code_digest = plan_digest(mem, plan.span)
-        if fuser is not None:
-            variants = plan.translate(timing=fuser)
-            full = variants.get("fused_full")
-        else:
-            variants = plan.translate()
-            full = variants.get("full")
+        p = plan_pieces(plan, fuser)
+        variants = plan.adopt(p, fused)
         per_entry[key] = (plan, variants)
-        if full is not None:
-            covered_keys.append(key)
-            sources[key] = full[0]
+        if p is not None and p.branch is not None:
+            pieces[key] = p
+            sources[key] = next(iter(variants.values()))[0]
             covered_instr += plan.n_instr
 
     entries: List[dict] = []
     index_of: Dict[Tuple[int, int], int] = {}
     prefixes: Dict[Tuple[int, int], Optional[dict]] = {}
     block_sources: List[str] = []
-    for key in covered_keys:
+    for key in pieces:
         plan = plans[key]
         prefix = None
         if plan.has_store:
@@ -1391,9 +847,7 @@ def compile_module(
         index_of[key] = index
         prefixes[key] = prefix
         block_sources.append(
-            _optimize_source(
-                sources[key].replace("_superblock_body", f"_f{index}", 1)
-            )
+            sources[key].replace("_superblock_body", f"_f{index}", 1)
         )
         entries.append(
             {
@@ -1411,27 +865,12 @@ def compile_module(
         )
 
     # Trace formation over the covered blocks.
-    pieces: Dict[Tuple[int, int], dict] = {}
-    traceable: List[Tuple[int, int]] = []
-    for key in covered_keys:
-        p = _plan_pieces(plans[key], fuser)
-        if p is not None:  # a full variant exists, so pieces should too
-            pieces[key] = p
-            traceable.append(key)
     traces: List[dict] = []
     trace_sources: List[str] = []
-    for chain in _build_regions(traceable, pieces, prefixes):
+    for chain in _build_regions(list(pieces), pieces, prefixes):
         name = f"_t{len(traces)}"
         trace_sources.append(
-            _optimize_source(
-                "\n".join(
-                    _emit_trace(
-                        name, chain, plans, pieces, index_of,
-                        fuser is not None,
-                    )
-                ),
-                always_promote=True,
-            )
+            _emit_trace(name, chain, plans, pieces, index_of, fused)
         )
         merged: Dict[str, List[int]] = {}
         for k in chain:
@@ -1447,11 +886,9 @@ def compile_module(
         )
 
     source, code = _emit_module(
-        namespace, block_sources, trace_sources, fuser is not None
+        namespace, block_sources, trace_sources, fused
     )
-    module = AotModule(
-        namespace, fuser is not None, source, code, entries, traces
-    )
+    module = AotModule(namespace, fused, source, code, entries, traces)
     report = {
         "namespace": namespace,
         "discovered": len(plans),

@@ -55,7 +55,7 @@ class DecodedOp:
         "word",
         "vals",
         "sim_fn",
-        "direct_fn",
+        "direct",
         "kind_code",
         "delay",
         "fu_class",
@@ -74,8 +74,8 @@ class DecodedOp:
         self.word = word
         self.vals = vals
         self.sim_fn = entry.sim_fn
-        #: Unbuffered variant for superblock bodies (None if unsafe).
-        self.direct_fn = entry.direct_fn
+        #: In-place writes are safe when inlined alone (superblock).
+        self.direct = entry.direct
         self.kind_code = _KIND_CODES[op.kind]
         self.delay = op.delay
         self.fu_class = op.fu_class

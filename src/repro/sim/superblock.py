@@ -21,21 +21,21 @@ run into a :class:`SuperblockPlan`:
 * precomputed block-total statistics deltas, accumulated once per block
   instead of once per instruction.
 
-Cold plans (fewer than :data:`HOT_THRESHOLD` executions) run a loop of
-per-row calls, in one of three kinds.  When every body instruction is
-single-issue and has a *direct* simulation variant (see
-:mod:`repro.targetgen.behavior_compiler`), the body runs commit-free:
-each row is one Python call that writes architectural state in place.
-Otherwise (VLIW bundles) the body runs buffered rows.  Hot plans of
-every kind are translated into flat Python functions: a single-issue
-instruction, or a bundle with one executing op, inlines its direct
-statements; a bundle with several executing ops inlines them with
-deferred writes — every slot reads pre-bundle state, the writes
-commit in slot order after the whole bundle — so VLIW code keeps its
-read-before-write semantics without buffers.  Blocks are *chained*
-through their observed successor — the block-level analogue of the
-paper's 1-bit instruction prediction — so the steady state executes
-without even a per-block hash lookup.
+Cold plans (fewer than :data:`HOT_THRESHOLD` executions) run their
+rows buffered, exactly like the reference interpreter.  Hot plans are
+translated into one flat Python function through one emission path —
+:func:`plan_pieces` composes the inlined statements (and the cycle
+model's, see below), :func:`assemble` builds the function — which the
+AOT tier (:mod:`repro.sim.aot`) shares.  A single-issue instruction,
+or a bundle with one executing op, inlines with in-place writes; a
+bundle with several executing ops inlines with deferred writes —
+every slot reads pre-bundle state, the writes commit in slot order
+after the whole bundle — so VLIW code keeps its read-before-write
+semantics without buffers.  The emitter folds while it lowers and
+keeps registers in locals, written back at every exit of the
+function.  Blocks are *chained* through their observed successor —
+the block-level analogue of the paper's 1-bit instruction prediction
+— so the steady state executes without even a per-block hash lookup.
 
 Cycle models still observe every instruction, three ways.  Models
 exposing the batched :meth:`~repro.cycles.base.CycleModel.observe_block`
@@ -68,14 +68,17 @@ after the offending instruction commits.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from ..adl.behavior import BehaviorError
 from ..targetgen.behavior_compiler import (
     SIM_GLOBALS,
-    InlinedStmts,
+    Exit,
+    Inlined,
     inline_bundle_stmts,
     inline_control_stmts,
     inline_direct_stmts,
+    reg_local,
 )
 from .decode_cache import DecodeCache
 from .decoder import DecodedInstruction, DecodedOp, KIND_NOP, KIND_STORE
@@ -90,14 +93,8 @@ MAX_BLOCK_LEN = 64
 #: A plan is translated into one flat Python function on its Nth
 #: execution.  Translating costs an emission + ``compile``
 #: pass (~0.3 ms), so cold blocks — init code, error paths — stay on
-#: the cheap per-row call loop and never pay it.
+#: the buffered rows and never pay it.
 HOT_THRESHOLD = 4
-
-#: Cold-path plan kinds: commit-free body without stores, commit-free
-#: body with stores (needs the invalidation check), buffered body.
-PLAN_DIRECT = 0
-PLAN_DIRECT_MEM = 1
-PLAN_GENERAL = 2
 
 
 def walk_block(
@@ -154,18 +151,14 @@ class SuperblockPlan:
     __slots__ = (
         "isa_id",
         "entry_ip",
-        "kind",
-        "body",
         "body_fn",
         "full_fn",
         "fused_body_fn",
         "fused_full_fn",
         "code_digest",
         "exec_count",
-        "obs_body",
+        "rows",
         "term_dec",
-        "term_fn",
-        "term_vals",
         "term_ops",
         "term_ip",
         "term_next_ip",
@@ -203,44 +196,16 @@ class SuperblockPlan:
             op.kind_code == KIND_STORE for d in decs for op in d.ops
         )
 
-        # Buffered observation rows: every body instruction (including
-        # NOP-only bundles — cycle models must see those issue).
-        self.obs_body = tuple(
+        # Buffered rows with static IPs — the cold path and the
+        # per-instruction observing path: every body instruction,
+        # including NOP-only bundles (cycle models must see those
+        # issue).
+        self.rows = tuple(
             (d.exec_ops, d.addr, d.addr + d.size, d) for d in body_decs
         )
 
-        # Functional body rows with static IPs (the cold path).
-        # Commit-free when every instruction is single-issue with a
-        # direct variant.
-        direct_ok = all(
-            d.single is not None
-            and (d.single.kind_code == KIND_NOP
-                 or d.single.direct_fn is not None)
-            for d in body_decs
-        )
-        rows: List[Tuple] = []
-        body_has_store = False
-        for d in body_decs:
-            if d.n_exec == 0:
-                continue  # NOP-only: IP advance is baked into the rows
-            next_ip = d.addr + d.size
-            if direct_ok:
-                rows.append((d.single.direct_fn, d.single.vals,
-                             d.addr, next_ip))
-            elif d.single is not None:
-                rows.append((d.single.sim_fn, d.single.vals,
-                             d.addr, next_ip))
-            else:
-                rows.append((None, d.exec_ops, d.addr, next_ip))
-            if any(op.kind_code == KIND_STORE for op in d.ops):
-                body_has_store = True
-        self.body = tuple(rows)
-        if direct_ok:
-            self.kind = PLAN_DIRECT_MEM if body_has_store else PLAN_DIRECT
-        else:
-            self.kind = PLAN_GENERAL
         #: Flat translated code, compiled lazily once the plan is hot
-        #: (see :meth:`translate`); the row loop is the cold path.
+        #: (see :meth:`translate`); the buffered rows are the cold path.
         #: ``full_fn`` covers body *and* terminator and returns the next
         #: IP (or ``~stop_ip`` on a self-modifying-code abort);
         #: ``body_fn`` covers only the body and returns None (or the
@@ -264,18 +229,9 @@ class SuperblockPlan:
             self.term_ip = term.addr
             self.term_next_ip = term.addr + term.size
             self.end_ip = self.term_next_ip
-            if term.single is not None:
-                self.term_fn = term.single.sim_fn
-                self.term_vals = term.single.vals
-                self.term_ops = None
-            else:
-                self.term_fn = None
-                self.term_vals = None
-                self.term_ops = term.exec_ops
+            self.term_ops = term.exec_ops
         else:
             self.term_dec = None
-            self.term_fn = None
-            self.term_vals = None
             self.term_ops = None
             self.term_ip = -1
             self.term_next_ip = -1
@@ -288,66 +244,39 @@ class SuperblockPlan:
         self.pred_plan: Optional["SuperblockPlan"] = None
 
     def translate(self, timing=None) -> Dict[str, Tuple[str, object]]:
-        """Compile the plan into flat translated functions.
+        """Compile the plan into one flat translated function.
 
         Called by the engine once the plan crosses
-        :data:`HOT_THRESHOLD`.  Without ``timing`` the preferred
-        outcome is ``full_fn`` (body plus an inlined branch terminator
-        — one call per block; a terminator bundle qualifies when the
-        branch is its only executing op); otherwise ``body_fn``
-        (buffered terminator stays); otherwise nothing, leaving the
-        per-row call loop in charge.  With ``timing`` (a
-        :class:`~repro.cycles.base.BlockCompiler`) the fused variants
-        are compiled instead, interleaving the cycle model's
-        accounting; a refusal by the compiler leaves the plan on the
-        per-instruction observe path.
+        :data:`HOT_THRESHOLD`.  Without ``timing`` the outcome is
+        ``full_fn`` (body plus an inlined branch terminator — one call
+        per block), else ``body_fn`` (the buffered terminator stays),
+        else nothing, leaving the buffered rows in charge.  With
+        ``timing`` (a :class:`~repro.cycles.base.BlockCompiler`) the
+        fused twins are compiled instead, interleaving the cycle
+        model's accounting; a refusal by the compiler leaves the plan
+        on the per-instruction observe path.  See :func:`plan_pieces`.
 
-        Returns the compiled variants as ``{name: (source, code)}``
-        for the engine's persistent plan cache.
+        Returns the compiled variant as ``{name: (source, code)}`` for
+        the engine's persistent plan cache.
         """
-        variants: Dict[str, Tuple[str, object]] = {}
-        body_decs = (
-            self.decs[:-1] if self.term_dec is not None else self.decs
+        return self.adopt(plan_pieces(self, timing), timing is not None)
+
+    def adopt(self, pieces: Optional[Pieces],
+              fused: bool) -> Dict[str, Tuple[str, object]]:
+        """Assemble and compile ``pieces`` as this plan's variant."""
+        if pieces is None:
+            return {}
+        name = "full" if pieces.branch is not None else "body"
+        if fused:
+            name = "fused_" + name
+        source = plan_source(pieces, fused)
+        code = compile(
+            source, f"<superblock:{self.isa_id}:{self.entry_ip:#x}>", "exec"
         )
-        body_has_store = any(
-            op.kind_code == KIND_STORE for d in body_decs for op in d.ops
-        )
-        term = self.term_dec
-        branch = _inline_terminator(term)
-        if timing is not None:
-            if branch is not None:
-                fused = _translate_fused_plan(
-                    body_decs, body_has_store, term, branch,
-                    self.isa_id, self.entry_ip, timing,
-                )
-                if fused is not None:
-                    self.fused_full_fn, source, code = fused
-                    variants["fused_full"] = (source, code)
-                    return variants
-            fused = _translate_fused_body(
-                body_decs, body_has_store, self.isa_id, self.entry_ip,
-                timing,
-            )
-            if fused is not None:
-                self.fused_body_fn, source, code = fused
-                variants["fused_body"] = (source, code)
-            return variants
-        if branch is not None:
-            full = _translate_plan(
-                body_decs, body_has_store, branch,
-                self.isa_id, self.entry_ip,
-            )
-            if full is not None:
-                self.full_fn, source, code = full
-                variants["full"] = (source, code)
-                return variants
-        body = _translate_body(
-            body_decs, body_has_store, self.isa_id, self.entry_ip
-        )
-        if body is not None:
-            self.body_fn, source, code = body
-            variants["body"] = (source, code)
-        return variants
+        namespace: Dict[str, object] = dict(SIM_GLOBALS)
+        exec(code, namespace)
+        setattr(self, name + "_fn", namespace["_superblock_body"])
+        return {name: (source, code)}
 
     def attach_variants(self, fns: Dict[str, Callable]) -> None:
         """Adopt compiled functions reloaded from a persistent cache."""
@@ -367,7 +296,7 @@ class SuperblockPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SuperblockPlan isa={self.isa_id} entry={self.entry_ip:#x} "
-            f"n={self.n_instr} kind={self.kind}>"
+            f"n={self.n_instr}>"
         )
 
 
@@ -378,18 +307,19 @@ def _sole_op(dec: DecodedInstruction) -> DecodedOp:
     return next(op for op in dec.ops if op.kind_code != KIND_NOP)
 
 
-def _inline_instr(dec: DecodedInstruction) -> InlinedStmts:
+def _inline_instr(dec: DecodedInstruction) -> Inlined:
     """Functional statements of one body instruction.
 
-    One executing op with a direct variant keeps the direct form;
-    any other instruction (a bundle with several executing ops, or an
-    op whose own statements read after writing) is inlined with
-    deferred writes.  Raises when the instruction cannot be inlined.
+    One executing op that is safe with in-place writes keeps the
+    direct form; any other instruction (a bundle with several
+    executing ops, or an op whose own statements read after writing)
+    is inlined with deferred writes.  Raises when the instruction
+    cannot be inlined.
     """
     next_ip = dec.addr + dec.size
     if dec.n_exec == 1:
         op = _sole_op(dec)
-        if op.direct_fn is not None:
+        if op.direct:
             return inline_direct_stmts(
                 op.entry.op, op.vals, dec.addr, next_ip
             )
@@ -404,7 +334,7 @@ def _inline_instr(dec: DecodedInstruction) -> InlinedStmts:
 
 def _inline_terminator(
     term: Optional[DecodedInstruction],
-) -> Optional[InlinedStmts]:
+) -> Optional[Inlined]:
     """Inlined branch terminator, or None when it stays buffered.
 
     A terminator inlines when its only executing op is a plain control
@@ -419,30 +349,76 @@ def _inline_terminator(
     )
 
 
-def _emit_body_lines(
-    body_decs: Tuple[DecodedInstruction, ...],
-    has_store: bool,
-    invert_abort: bool,
-    timing=None,
-) -> Optional[Tuple[List[str], bool, set, set]]:
-    """Inline every body instruction; None when not flatly translatable.
+class Abort(NamedTuple):
+    """A self-modifying-code abort site in emitted body lines.
 
-    After each store-carrying instruction of a store-carrying block
-    an invalidation check is emitted (after the bundle's commit),
-    returning the committed instruction's successor IP on a
-    self-modifying-code hit — bit-inverted (negative) when the
-    function's normal return values are IPs themselves
-    (``invert_abort``).
-
-    With ``timing`` (a :class:`~repro.cycles.base.BlockCompiler` whose
-    ``begin()`` the caller already invoked) each instruction's timing
-    statements are placed *before* its functional statements — the
-    compiled analogue of observing pre-commit — and every abort site
-    flushes the model's prefix totals before returning.  A None from
-    ``timing.instr`` rejects the whole body.
+    The store-carrying instruction ending at ``stop`` has committed
+    and a store hit translated code; the consumer renders the return
+    (see :func:`plan_source` and the AOT trace emitter).
     """
-    lines: List[str] = []
-    uses_regs = False
+
+    indent: str
+    stop: int
+
+
+class Pieces(NamedTuple):
+    """One plan's translated code as data, before assembly.
+
+    ``pre`` holds the body lines (timing statements before each
+    instruction's functional statements, :class:`Abort` sites after
+    store-carrying instructions), then the terminator's timing and the
+    model flush.  ``branch`` is the inlined terminator (its lines end
+    in :class:`~repro.targetgen.behavior_compiler.Exit` transfers), or
+    None when the terminator stays buffered.  The remaining fields
+    report what the lines use: register indices read and written,
+    load and store sizes, and the timing prologue.
+    """
+
+    pre: List
+    branch: Optional[Inlined]
+    reads: frozenset
+    writes: frozenset
+    loads: frozenset
+    stores: frozenset
+    prologue: List[str]
+
+
+def plan_pieces(plan: "SuperblockPlan", timing=None) -> Optional[Pieces]:
+    """The one composition of a plan's translated code.
+
+    Both tiers assemble from it: the interactive engine's variants
+    (:meth:`SuperblockPlan.translate`) and the AOT tier's block and
+    trace functions.  The preferred form covers body *and* an inlined
+    branch terminator (one call per block; every path ends in an
+    :class:`Exit`); otherwise the body alone, whose buffered
+    terminator runs after it; None when neither translates (the plan
+    stays on its buffered rows).
+
+    With ``timing`` (a :class:`~repro.cycles.base.BlockCompiler`)
+    each instruction's timing statements are placed *before* its
+    functional statements — the compiled analogue of observing
+    pre-commit — and every abort site flushes the model's prefix
+    totals.  A None from ``timing.instr`` rejects the plan; a None
+    from ``timing.term`` (e.g. a branch model needs the
+    per-instruction misprediction hook) leaves the body-only form.
+    The terminator's timing runs before its functional statements.
+    """
+    term = plan.term_dec
+    body_decs = plan.decs[:-1] if term is not None else plan.decs
+    branch = _inline_terminator(term)
+    if branch is not None:
+        pieces = _compose(body_decs, term, branch, timing)
+        if pieces is not None:
+            return pieces
+    return _compose(body_decs, None, None, timing)
+
+
+def _compose(body_decs, term, branch, timing) -> Optional[Pieces]:
+    if timing is not None:
+        timing.begin()
+    pre: List = []
+    reads: set = set()
+    writes: set = set()
     loads: set = set()
     stores: set = set()
     for d in body_decs:
@@ -450,185 +426,108 @@ def _emit_body_lines(
             t_stmts = timing.instr(d)
             if t_stmts is None:
                 return None
-            for stmt in t_stmts:
-                lines.append("    " + stmt)
+            pre.extend("    " + stmt for stmt in t_stmts)
         if d.n_exec == 0:
             continue
         try:
-            stmts, i_regs, i_loads, i_stores = _inline_instr(d)
-        except Exception:
-            return None  # fall back to the per-row call loop
-        lines.extend(stmts)
-        uses_regs = uses_regs or i_regs
-        loads |= i_loads
-        stores |= i_stores
-        if has_store and any(op.kind_code == KIND_STORE for op in d.ops):
-            stop = d.addr + d.size
-            lines.append("    if inv[0]:")
+            inlined = _inline_instr(d)
+        except BehaviorError:
+            return None
+        pre.extend(inlined.lines)
+        reads |= inlined.reads
+        writes |= inlined.writes
+        loads |= inlined.loads
+        stores |= inlined.stores
+        if any(op.kind_code == KIND_STORE for op in d.ops):
+            pre.append("    if inv[0]:")
             if timing is not None:
                 # The aborting store has been counted (its timing ran
                 # above); flush the prefix totals, matching what the
                 # per-instruction path observes before the abort.
-                for stmt in timing.flush():
-                    lines.append("        " + stmt)
-            lines.append(f"        return {~stop if invert_abort else stop}")
-    return lines, uses_regs, loads, stores
-
-
-def _compile_plan_fn(
-    lines: List[str],
-    uses_regs: bool,
-    loads: set,
-    stores: set,
-    isa_id: int,
-    entry_ip: int,
-    timing_prologue: Optional[List[str]] = None,
-    fused: bool = False,
-) -> Tuple[Callable, str, object]:
+                pre.extend("        " + stmt for stmt in timing.flush())
+            pre.append(Abort("        ", d.addr + d.size))
+    if branch is None:
+        if not pre:
+            return None
+    else:
+        if timing is not None:
+            t_stmts = timing.term(term)
+            if t_stmts is None:
+                return None
+            pre.extend("    " + stmt for stmt in t_stmts)
+        reads |= branch.reads
+        writes |= branch.writes
+        loads |= branch.loads
+        stores |= branch.stores
     prologue: List[str] = []
-    if uses_regs:
-        prologue.append("    regs = state.regs")
-    for intrinsic in sorted(loads):
-        size = intrinsic[1]
-        prologue.append(f"    ld{size} = state.mem.load{size}")
+    if timing is not None:
+        pre.extend("    " + stmt for stmt in timing.flush())
+        prologue = timing.prologue()
+        reads |= timing.reads
+    return Pieces(pre, branch, frozenset(reads), frozenset(writes),
+                  frozenset(loads), frozenset(stores), prologue)
+
+
+def assemble(header: str, parts, body: List[str],
+             prologue: List[str] = ()) -> str:
+    """The one function assembler of translated code.
+
+    Builds a plan variant (one :class:`Pieces`) and an AOT trace (the
+    pieces of every inlined block) alike: binds the memory accessors
+    the ``parts`` use, the timing ``prologue``, and every register
+    they access as a local (:func:`reg_local`), loaded once.  The
+    written registers go back to the register file on *every* exit —
+    returns, falling off the end and exceptions — through one
+    ``finally``, so the register file is exact wherever control leaves
+    the function.
+    """
+    reads = frozenset().union(*(p.reads for p in parts))
+    writes = frozenset().union(*(p.writes for p in parts))
+    loads = frozenset().union(*(p.loads for p in parts))
+    stores = frozenset().union(*(p.stores for p in parts))
+    out = [header]
+    if reads or writes:
+        out.append("    regs = state.regs")
+    for size in sorted(loads):
+        out.append(f"    ld{size} = state.mem.load{size}")
+    if 4 in loads:
+        out.append("    _zg = state.mem._views.get")
     for size in sorted(stores):
-        prologue.append(f"    st{size} = state.mem.store{size}")
-    if timing_prologue:
-        for stmt in timing_prologue:
-            prologue.append("    " + stmt)
-    header = (
-        "def _superblock_body(state, inv, m):" if fused
-        else "def _superblock_body(state, inv):"
-    )
-    source = "\n".join([header] + prologue + lines)
-    code = compile(source, f"<superblock:{isa_id}:{entry_ip:#x}>", "exec")
-    namespace: Dict[str, object] = dict(SIM_GLOBALS)
-    exec(code, namespace)
-    return namespace["_superblock_body"], source, code
+        out.append(f"    st{size} = state.mem.store{size}")
+    out.extend("    " + stmt for stmt in prologue)
+    out.extend(f"    {reg_local(k)} = regs[{k}]" for k in sorted(reads | writes))
+    if not writes:
+        out.extend(body)
+    else:
+        out.append("    try:")
+        out.extend("    " + line for line in body)
+        out.append("    finally:")
+        out.extend(f"        regs[{k}] = {reg_local(k)}" for k in sorted(writes))
+    return "\n".join(out)
 
 
-def _translate_body(
-    body_decs: Tuple[DecodedInstruction, ...],
-    has_store: bool,
-    isa_id: int,
-    entry_ip: int,
-) -> Optional[Tuple[Callable, str, object]]:
-    """Compile a plan body into one flat Python function.
+def plan_source(pieces: Pieces, fused: bool) -> str:
+    """Source of one plan variant, ``_superblock_body``.
 
-    The generated function executes every body instruction as inlined
-    straight-line statements (no per-instruction calls, dispatch or
-    bookkeeping) and returns None; on a self-modifying-code hit it
-    returns the positive stop IP.  The terminator stays buffered.
+    A full variant (inlined branch) returns the next IP, or
+    ``~stop_ip`` on a self-modifying-code abort; a body variant
+    returns None, or the positive ``stop_ip`` on abort.  Fused
+    variants take the cycle model as third argument ``m``.
     """
-    emitted = _emit_body_lines(body_decs, has_store, invert_abort=False)
-    if emitted is None or not emitted[0]:
-        return None
-    lines, uses_regs, loads, stores = emitted
-    return _compile_plan_fn(
-        lines, uses_regs, loads, stores, isa_id, entry_ip
-    )
-
-
-def _translate_plan(
-    body_decs: Tuple[DecodedInstruction, ...],
-    has_store: bool,
-    inlined: InlinedStmts,
-    isa_id: int,
-    entry_ip: int,
-) -> Optional[Tuple[Callable, str, object]]:
-    """Compile body *plus* branch terminator into one flat function.
-
-    Every path returns the next IP directly (branch targets and the
-    fall-through are literals folded at translation time); an abort
-    returns ``~stop_ip``.  Only plain control transfers whose
-    per-instance read-after-write check passes are inlined (see
-    :func:`_inline_terminator`) — ``jalr`` with ``rd == rs1``,
-    switches, simops, halts and bundles with further executing ops
-    keep the buffered terminator path.
-    """
-    emitted = _emit_body_lines(body_decs, has_store, invert_abort=True)
-    if emitted is None:
-        return None
-    lines, uses_regs, loads, stores = emitted
-    t_lines, t_regs, t_loads, t_stores = inlined
-    lines.extend(t_lines)
-    return _compile_plan_fn(
-        lines, uses_regs or t_regs, loads | t_loads, stores | t_stores,
-        isa_id, entry_ip,
-    )
-
-
-def _translate_fused_body(
-    body_decs: Tuple[DecodedInstruction, ...],
-    has_store: bool,
-    isa_id: int,
-    entry_ip: int,
-    timing,
-) -> Optional[Tuple[Callable, str, object]]:
-    """Compile a body with the cycle model's accounting fused in.
-
-    Same contract as :func:`_translate_body` (returns None or the
-    positive stop IP on abort) but the generated function takes the
-    cycle model as third argument ``m`` and advances it exactly as the
-    per-instruction observe path would — the model never needs to see
-    the individual instructions.
-    """
-    timing.begin()
-    emitted = _emit_body_lines(
-        body_decs, has_store, invert_abort=False, timing=timing
-    )
-    if emitted is None or not emitted[0]:
-        return None
-    lines, uses_regs, loads, stores = emitted
-    for stmt in timing.flush():
-        lines.append("    " + stmt)
-    return _compile_plan_fn(
-        lines, uses_regs or timing.uses_regs, loads, stores,
-        isa_id, entry_ip,
-        timing_prologue=timing.prologue(), fused=True,
-    )
-
-
-def _translate_fused_plan(
-    body_decs: Tuple[DecodedInstruction, ...],
-    has_store: bool,
-    term: DecodedInstruction,
-    inlined: InlinedStmts,
-    isa_id: int,
-    entry_ip: int,
-    timing,
-) -> Optional[Tuple[Callable, str, object]]:
-    """Fused analogue of :func:`_translate_plan` (body + terminator).
-
-    The terminator's timing statements run before its functional
-    statements (which only *read* registers — ``inline_control_stmts``
-    admits plain branches alone), and the model flush precedes every
-    return path.  ``timing.term`` may refuse — e.g. when a branch
-    model needs the per-instruction misprediction hook — pushing the
-    plan down to :func:`_translate_fused_body`.
-    """
-    timing.begin()
-    emitted = _emit_body_lines(
-        body_decs, has_store, invert_abort=True, timing=timing
-    )
-    if emitted is None:
-        return None
-    t_timing = timing.term(term)
-    if t_timing is None:
-        return None
-    lines, uses_regs, loads, stores = emitted
-    for stmt in t_timing:
-        lines.append("    " + stmt)
-    for stmt in timing.flush():
-        lines.append("    " + stmt)
-    t_lines, t_regs, t_loads, t_stores = inlined
-    lines.extend(t_lines)
-    return _compile_plan_fn(
-        lines, uses_regs or t_regs or timing.uses_regs,
-        loads | t_loads, stores | t_stores,
-        isa_id, entry_ip,
-        timing_prologue=timing.prologue(), fused=True,
-    )
+    full = pieces.branch is not None
+    body: List[str] = []
+    for line in pieces.pre:
+        if isinstance(line, Abort):
+            line = f"{line.indent}return {~line.stop if full else line.stop}"
+        body.append(line)
+    if full:
+        for line in pieces.branch.lines:
+            if isinstance(line, Exit):
+                line = f"{line.indent}return {line.expr}"
+            body.append(line)
+    params = "state, inv, m" if fused else "state, inv"
+    return assemble(f"def _superblock_body({params}):", (pieces,), body,
+                    pieces.prologue)
 
 
 class SuperblockEngine:
@@ -836,7 +735,6 @@ class SuperblockEngine:
                 break  # tail: the interpreter finishes per-instruction
             prev = plan
             blocks += 1
-            aborted = False
             n = plan.exec_count
             if n < HOT_THRESHOLD:
                 plan.exec_count = n + 1
@@ -844,16 +742,19 @@ class SuperblockEngine:
                     self._hot_translate(plan, model, observe_block)
 
             # -- body ------------------------------------------------------
+            stop = None
+            rows = ()
+            observe = None
             if model is None or (
                 observe_block is not None and not plan.has_store
             ):
                 if observe_block is not None and model is not None:
                     observe_block(plan, regs)
-                full_fn = plan.full_fn
-                if full_fn is not None:
+                observed_term = observe_block is not None
+                if plan.full_fn is not None:
                     # Fully translated block: one call executes body
                     # and terminator and yields the next IP.
-                    r = full_fn(state, inv)
+                    r = plan.full_fn(state, inv)
                     if r >= 0:
                         state.ip = r
                         executed += plan.n_instr
@@ -864,88 +765,11 @@ class SuperblockEngine:
                         if profiler is not None:
                             profiler.record_block(plan)
                         continue
-                    # A store rewrote translated code mid-block.
-                    inv[0] = False
                     stop = ~r
-                    if profiler is not None:
-                        profiler.record_block_prefix(plan, stop)
-                    d = _partial_stats(plan, stop)
-                    executed += d[0]; slots += d[1]
-                    ops_exec += d[2]; mem_instr += d[3]
-                    mem_ops += d[4]
-                    state.ip = stop
-                    prev = None
-                    continue
-                kind = plan.kind
-                body_fn = plan.body_fn
-                if body_fn is not None:
-                    stop = body_fn(state, inv)
-                    if stop is not None:
-                        # A store rewrote translated code mid-block.
-                        inv[0] = False
-                        if profiler is not None:
-                            profiler.record_block_prefix(plan, stop)
-                        d = _partial_stats(plan, stop)
-                        executed += d[0]; slots += d[1]
-                        ops_exec += d[2]; mem_instr += d[3]
-                        mem_ops += d[4]
-                        state.ip = stop
-                        prev = None
-                        aborted = True
-                elif kind == PLAN_DIRECT:
-                    for fn, vals, ip_c, nip_c in plan.body:
-                        fn(state, vals, ip_c, nip_c)
-                elif kind == PLAN_DIRECT_MEM:
-                    for fn, vals, ip_c, nip_c in plan.body:
-                        fn(state, vals, ip_c, nip_c)
-                        if inv[0]:
-                            inv[0] = False
-                            if profiler is not None:
-                                profiler.record_block_prefix(plan, nip_c)
-                            d = _partial_stats(plan, nip_c)
-                            executed += d[0]; slots += d[1]
-                            ops_exec += d[2]; mem_instr += d[3]
-                            mem_ops += d[4]
-                            state.ip = nip_c
-                            prev = None
-                            aborted = True
-                            break
+                elif plan.body_fn is not None:
+                    stop = plan.body_fn(state, inv)
                 else:
-                    for fn, vals, ip_c, nip_c in plan.body:
-                        if fn is not None:
-                            fn(state, vals, ip_c, nip_c, regwr, memwr)
-                        else:
-                            for f2, v2 in vals:
-                                f2(state, v2, ip_c, nip_c, regwr, memwr)
-                        if regwr:
-                            for reg, val in regwr:
-                                regs[reg] = val
-                            regs[0] = 0
-                            del regwr[:]
-                        if memwr:
-                            for size, addr, val in memwr:
-                                if size == 4:
-                                    s4(addr, val)
-                                elif size == 2:
-                                    s2(addr, val)
-                                else:
-                                    s1(addr, val)
-                            del memwr[:]
-                            if inv[0]:
-                                inv[0] = False
-                                if profiler is not None:
-                                    profiler.record_block_prefix(
-                                        plan, nip_c
-                                    )
-                                d = _partial_stats(plan, nip_c)
-                                executed += d[0]; slots += d[1]
-                                ops_exec += d[2]; mem_instr += d[3]
-                                mem_ops += d[4]
-                                state.ip = nip_c
-                                prev = None
-                                aborted = True
-                                break
-                observed_term = observe_block is not None
+                    rows = plan.rows
             elif fuser is not None and plan.fused_full_fn is not None:
                 # Fully translated block with the model's accounting
                 # fused in: one call executes body, terminator and
@@ -961,10 +785,47 @@ class SuperblockEngine:
                     if profiler is not None:
                         profiler.record_block(plan)
                     continue
-                # A store rewrote translated code mid-block; the fused
-                # flush at the abort site already charged the prefix.
-                inv[0] = False
                 stop = ~r
+            elif fuser is not None and plan.fused_body_fn is not None:
+                # Fused body; the terminator keeps full buffered
+                # semantics (and per-instruction observation) below.
+                stop = plan.fused_body_fn(state, inv, model)
+                observed_term = False
+            else:
+                # Per-instruction observing path (AIE/DOE, or any block
+                # containing stores — keeps abort and observe aligned).
+                rows = plan.rows
+                observe = model.observe
+                observed_term = False
+            # Buffered rows: cold and untranslatable plans, and the
+            # per-instruction observing path.
+            for ops_t, ip_c, nip_c, dec in rows:
+                for f2, v2 in ops_t:
+                    f2(state, v2, ip_c, nip_c, regwr, memwr)
+                if observe is not None:
+                    observe(dec, regs)
+                if regwr:
+                    for reg, val in regwr:
+                        regs[reg] = val
+                    regs[0] = 0
+                    del regwr[:]
+                if memwr:
+                    for size, addr, val in memwr:
+                        if size == 4:
+                            s4(addr, val)
+                        elif size == 2:
+                            s2(addr, val)
+                        else:
+                            s1(addr, val)
+                    del memwr[:]
+                    if inv[0]:
+                        stop = nip_c
+                        break
+            if stop is not None:
+                # A store rewrote translated code mid-block: charge the
+                # committed prefix (a fused abort site has already
+                # flushed the model's) and resume at its successor.
+                inv[0] = False
                 if profiler is not None:
                     profiler.record_block_prefix(plan, stop)
                 d = _partial_stats(plan, stop)
@@ -974,73 +835,16 @@ class SuperblockEngine:
                 state.ip = stop
                 prev = None
                 continue
-            elif fuser is not None and plan.fused_body_fn is not None:
-                # Fused body; the terminator keeps full buffered
-                # semantics (and per-instruction observation) below.
-                stop = plan.fused_body_fn(state, inv, model)
-                if stop is not None:
-                    inv[0] = False
-                    if profiler is not None:
-                        profiler.record_block_prefix(plan, stop)
-                    d = _partial_stats(plan, stop)
-                    executed += d[0]; slots += d[1]
-                    ops_exec += d[2]; mem_instr += d[3]
-                    mem_ops += d[4]
-                    state.ip = stop
-                    prev = None
-                    aborted = True
-                observed_term = False
-            else:
-                # Per-instruction observing path (AIE/DOE, or any block
-                # containing stores — keeps abort and observe aligned).
-                for ops_t, ip_c, nip_c, dec in plan.obs_body:
-                    for f2, v2 in ops_t:
-                        f2(state, v2, ip_c, nip_c, regwr, memwr)
-                    model.observe(dec, regs)
-                    if regwr:
-                        for reg, val in regwr:
-                            regs[reg] = val
-                        regs[0] = 0
-                        del regwr[:]
-                    if memwr:
-                        for size, addr, val in memwr:
-                            if size == 4:
-                                s4(addr, val)
-                            elif size == 2:
-                                s2(addr, val)
-                            else:
-                                s1(addr, val)
-                        del memwr[:]
-                        if inv[0]:
-                            inv[0] = False
-                            if profiler is not None:
-                                profiler.record_block_prefix(plan, nip_c)
-                            d = _partial_stats(plan, nip_c)
-                            executed += d[0]; slots += d[1]
-                            ops_exec += d[2]; mem_instr += d[3]
-                            mem_ops += d[4]
-                            state.ip = nip_c
-                            prev = None
-                            aborted = True
-                            break
-                observed_term = False
-            if aborted:
-                continue
 
             # -- terminator (full buffered semantics) ---------------------
             if plan.term_dec is not None:
                 ip_c = plan.term_ip
                 nip_c = plan.term_next_ip
                 new_ip = None
-                fn = plan.term_fn
-                if fn is not None:
-                    new_ip = fn(state, plan.term_vals, ip_c, nip_c,
-                                regwr, memwr)
-                else:
-                    for f2, v2 in plan.term_ops:
-                        r = f2(state, v2, ip_c, nip_c, regwr, memwr)
-                        if r is not None:
-                            new_ip = r
+                for f2, v2 in plan.term_ops:
+                    r = f2(state, v2, ip_c, nip_c, regwr, memwr)
+                    if r is not None:
+                        new_ip = r
                 if model is not None and not observed_term:
                     model.observe(plan.term_dec, regs)
                 if regwr:

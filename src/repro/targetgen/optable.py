@@ -13,10 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..adl.model import Architecture, Isa, Operation
 from ..adl.validate import check_architecture
-from .behavior_compiler import (
-    compile_direct_sim_function,
-    compile_sim_function,
-)
+from .behavior_compiler import compile_sim_function, direct_eligible
 
 
 @dataclass(frozen=True)
@@ -31,9 +28,9 @@ class OpTableEntry:
     #: register numbers (precomputed for the cycle models).
     src_value_indices: Tuple[int, ...] = ()
     dst_value_indices: Tuple[int, ...] = ()
-    #: Unbuffered simulation function for single-issue straight-line
-    #: execution (superblock engine); None when not provably safe.
-    direct_fn: Optional[Callable] = None
+    #: Whether the superblock translator may inline the operation with
+    #: in-place writes (see ``behavior_compiler.direct_eligible``).
+    direct: bool = False
 
     def decode(self, word: int) -> Tuple[int, ...]:
         """Extract all value fields of ``word`` (the decode structure)."""
@@ -60,7 +57,7 @@ class OperationTable:
             entry = OpTableEntry(
                 op=op,
                 sim_fn=compile_sim_function(op),
-                direct_fn=compile_direct_sim_function(op),
+                direct=direct_eligible(op),
                 value_fields=vfields,
                 src_value_indices=tuple(names.index(n) for n in op.src_fields),
                 dst_value_indices=tuple(names.index(n) for n in op.dst_fields),

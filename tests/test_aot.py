@@ -41,6 +41,10 @@ from .test_superblock import mem_digest
 
 BENCHMARKS = ("cjpeg", "djpeg", "fft", "qsort", "aes", "dct4x4", "crc32")
 
+#: vliw4 builds (``program@isa``): bundle plans enter the table and
+#: traces like single-issue ones.
+VLIW_BENCHMARKS = ("cjpeg@vliw4", "dct4x4@vliw4")
+
 #: Run cap per differential cell — same budget as the cycle-fusion
 #: matrix: crosses every hot threshold, keeps the matrix in tier-1.
 CAP = 60_000
@@ -61,7 +65,8 @@ _MODULES = {}
 
 def built_benchmark(name):
     if name not in _BUILDS:
-        _BUILDS[name] = build_benchmark(name)
+        program, _, isa = name.partition("@")
+        _BUILDS[name] = build_benchmark(program, isa=isa or "risc")
     return _BUILDS[name]
 
 
@@ -143,7 +148,12 @@ class TestDifferentialMatrix:
             assert binding is not None
             assert binding.blocks_executed > 0
 
-    @pytest.mark.parametrize("name", BENCHMARKS)
+    @pytest.mark.parametrize("hierarchy", sorted(HIERARCHIES))
+    @pytest.mark.parametrize("name", VLIW_BENCHMARKS)
+    def test_vliw_doe_bitwise_identical(self, name, hierarchy):
+        self.test_bitwise_identical(name, "doe", hierarchy)
+
+    @pytest.mark.parametrize("name", BENCHMARKS + VLIW_BENCHMARKS)
     def test_functional_bitwise_identical(self, name):
         """The ``""`` namespace (no cycle model) for every benchmark."""
         built = built_benchmark(name)
@@ -354,6 +364,35 @@ class TestModuleCache:
         interp.run()
         assert program.state.regs[5] == 7
         assert program.state.halted
+
+
+class TestOneEmissionPath:
+    """AOT block functions are the engine's own translated variants."""
+
+    def test_block_functions_are_plan_variants(self):
+        built = built_benchmark("dct4x4@vliw4")
+        model = DoeModel(issue_width=built.issue_width)
+        module, per_entry, _report = aot.compile_module(
+            built.elf, built.arch, model=model, profile_budget=CAP
+        )
+        functions = {
+            part[4:part.index("(")]: part
+            for part in module.source.split("\n\n")
+            if part.startswith("def ")
+        }
+        assert module.entries
+        bundles = 0
+        for entry in module.entries:
+            plan, _variants = per_entry[(entry["isa"], entry["ip"])]
+            bundles += any(dec.single is None for dec in plan.decs)
+            variants = plan.translate(timing=model.block_compiler())
+            (source, _code), = variants.values()
+            assert (source.replace("_superblock_body", entry["fn"], 1)
+                    == functions[entry["fn"]])
+        assert bundles > 0
+
+    def test_no_source_reparsing(self):
+        assert "ast" not in vars(aot)
 
 
 class TestTelemetry:

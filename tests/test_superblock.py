@@ -389,6 +389,7 @@ class TestBundleTranslation:
             return made
 
         monkeypatch.setattr(superblock_mod.SuperblockPlan, "translate", spy)
+        self.variants = variants
         base, _ = self.run(target, words, "predict", init)
         fast, _ = self.run(target, words, "superblock", init)
         assert fast == base
@@ -499,6 +500,23 @@ class TestBundleTranslation:
         assert regs[7] == 99
         assert (regs[3], regs[4]) == (5, 9)
         assert snap["instructions"] == 4
+
+    def test_body_writes_reach_buffered_terminator(self, target, risc_table,
+                                                  monkeypatch):
+        """A body function ends by falling off its last line: its
+        register writes must still reach the register file."""
+        t = risc_table
+        words = (
+            self.bundle(enc(t, "addi", rd=1, rs1=0, imm=5),
+                        enc(t, "addi", rd=2, rs1=0, imm=7))
+            + self.bundle(enc(t, "add", rd=3, rs1=1, rs2=2),
+                          enc(t, "mul", rd=4, rs1=1, rs2=2),
+                          enc(t, "addi", rd=1, rs1=1, imm=1))
+            + self.bundle(enc(t, "halt"))
+        )
+        snap = self.check(target, words, monkeypatch)
+        assert "body" in self.variants and "fused_body" in self.variants
+        assert snap["regs"][1:5] == (6, 7, 12, 35)
 
     @pytest.mark.parametrize("where", ["leading", "between"])
     def test_nop_only_bundles(self, target, risc_table, monkeypatch,

@@ -22,7 +22,8 @@ mismatch:
 
 4. **AOT cross-engine determinism** — run each workload in
    ``--aot-benchmarks`` (default: the main workload; ``all`` = every
-   bundled benchmark) under ``engine="aot"`` — functional and fused
+   bundled benchmark; ``program@isa`` builds for that ISA, e.g.
+   ``dct4x4@vliw4``) under ``engine="aot"`` — functional and fused
    DOE — and require bitwise-identical registers, memory digest,
    output, exit code, architectural statistics and cycle counts
    against the superblock engine.  On a mismatch the gate reruns the
@@ -143,7 +144,8 @@ def aot_forensics(built, name):
 
 def aot_cross_engine(name):
     """aot vs superblock: functional and fused DOE, bitwise."""
-    built = build_benchmark(name)
+    program, _, isa = name.partition("@")
+    built = build_benchmark(program, isa=isa or "risc")
     width = built.issue_width
     failures_before = len(FAILURES)
 
@@ -326,8 +328,9 @@ def main(argv=None):
                              "determinism section")
     parser.add_argument("--aot-benchmarks", default=None,
                         help="comma list of workloads for the aot "
-                             "cross-engine section; 'all' = every "
-                             "bundled benchmark (default: --workload)")
+                             "cross-engine section, each a program or "
+                             "program@isa; 'all' = every bundled "
+                             "benchmark (default: --workload)")
     args = parser.parse_args(argv)
 
     built = build_benchmark(args.workload)
@@ -396,14 +399,14 @@ def main(argv=None):
           f"({par.cycles} vs {straight_model.cycles}; approximate by "
           f"design, not gated)")
 
-    if args.aot_benchmarks == "all":
-        from repro.programs import program_names
+    aot_names = []
+    for item in (args.aot_benchmarks or args.workload).split(","):
+        if item.strip() == "all":
+            from repro.programs import program_names
 
-        aot_names = sorted(program_names())
-    elif args.aot_benchmarks:
-        aot_names = [n.strip() for n in args.aot_benchmarks.split(",")]
-    else:
-        aot_names = [args.workload]
+            aot_names.extend(sorted(program_names()))
+        else:
+            aot_names.append(item.strip())
     print(f"aot cross-engine ({', '.join(aot_names)}) ...")
     for name in aot_names:
         aot_cross_engine(name)
